@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -33,34 +34,50 @@ import (
 )
 
 func main() {
-	fig7 := flag.Bool("fig7", false, "run the kernel experiment (Figure 7)")
-	fig8 := flag.Bool("fig8", false, "run the application experiment (Figure 8)")
-	table3 := flag.Bool("table3", false, "run the performance/cost table (Table 3)")
-	orgs := flag.Bool("organizations", false, "compare memory organisations (low-order vs high-order vs dual-ported)")
-	tables := flag.Bool("tables", false, "print the benchmark inventories (Tables 1 and 2)")
-	sweep := flag.Bool("sweep", false, "sweep FIR filter order vs CB gain")
-	all := flag.Bool("all", false, "run everything")
-	one := flag.String("bench", "", "run a single benchmark across all modes")
-	selective := flag.String("selective", "", "run PCR-driven selective duplication on one benchmark")
-	list := flag.Bool("list", false, "list benchmark names")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool width for the experiment harness")
-	timing := flag.Bool("timing", false, "report per-section wall clock, per-run compile/simulate split, and cache traffic on stderr")
-	partitioner := flag.String("partitioner", "greedy", "graph partitioner for -bench runs: greedy, kl, anneal, fm, or exact")
-	engineName := flag.String("engine", "compiled", "simulation engine: compiled, fast, or machine")
-	simbench := flag.Bool("simbench", false, "measure per-engine simulator throughput (not part of -all)")
-	simcheck := flag.String("simcheck", "", "re-measure simulator throughput and fail if the compiled/fast speedup regressed >10% vs this baseline JSON")
-	jsonPath := flag.String("json", "", "write harness results and timings to this JSON file")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with injectable streams and exit code, so tests can
+// run the whole command in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dspbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig7 := fs.Bool("fig7", false, "run the kernel experiment (Figure 7)")
+	fig8 := fs.Bool("fig8", false, "run the application experiment (Figure 8)")
+	table3 := fs.Bool("table3", false, "run the performance/cost table (Table 3)")
+	orgs := fs.Bool("organizations", false, "compare memory organisations (low-order vs high-order vs dual-ported)")
+	tables := fs.Bool("tables", false, "print the benchmark inventories (Tables 1 and 2)")
+	sweep := fs.Bool("sweep", false, "sweep FIR filter order vs CB gain")
+	all := fs.Bool("all", false, "run everything")
+	one := fs.String("bench", "", "run a single benchmark across all modes")
+	selective := fs.String("selective", "", "run PCR-driven selective duplication on one benchmark")
+	list := fs.Bool("list", false, "list benchmark names")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker pool width for the experiment harness")
+	timing := fs.Bool("timing", false, "report per-section wall clock, per-run compile/simulate split, and cache traffic on stderr")
+	partitioner := fs.String("partitioner", "greedy", "graph partitioner for -bench runs: greedy, kl, anneal, fm, or exact")
+	engineName := fs.String("engine", "compiled", "simulation engine: compiled, fast, or machine")
+	simbench := fs.Bool("simbench", false, "measure per-engine simulator throughput (not part of -all)")
+	simcheck := fs.String("simcheck", "", "re-measure simulator throughput and fail if the compiled/fast speedup regressed >10% vs this baseline JSON")
+	jsonPath := fs.String("json", "", "write harness results and timings to this JSON file")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	engine, err := bench.ParseEngine(*engineName)
-	check(err)
+	if err != nil {
+		return fail(stderr, err)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
-		check(err)
-		check(pprof.StartCPUProfile(f))
+		if err != nil {
+			return fail(stderr, err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fail(stderr, err)
+		}
 		defer func() {
 			pprof.StopCPUProfile()
 			f.Close()
@@ -69,21 +86,18 @@ func main() {
 
 	if *list {
 		for _, n := range bench.Names() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
-		return
+		return 0
 	}
 	if *selective != "" {
-		runSelective(*selective)
-		return
+		return runSelective(*selective, stdout, stderr)
 	}
 	if *one != "" {
-		runOne(*one, *partitioner, engine)
-		return
+		return runOne(*one, *partitioner, engine, stdout, stderr)
 	}
 	if *simbench || *simcheck != "" {
-		runSimBench(*simcheck, *jsonPath)
-		return
+		return runSimBench(*simcheck, *jsonPath, stdout, stderr)
 	}
 	if !*fig7 && !*fig8 && !*table3 && !*orgs && !*tables && !*sweep {
 		*all = true
@@ -97,60 +111,66 @@ func main() {
 	// section runs one experiment, prints its text (stdout stays
 	// byte-identical to the serial harness), and records rows and
 	// wall-clock in the JSON report.
-	section := func(name string, run func() (bench.Section, string, error)) {
+	section := func(name string, run func() (bench.Section, string, error)) error {
 		s0 := time.Now()
 		sec, text, err := run()
-		check(err)
+		if err != nil {
+			return err
+		}
 		sec.Name = name
 		sec.Seconds = time.Since(s0).Seconds()
-		fmt.Println(text)
+		fmt.Fprintln(stdout, text)
 		if *timing {
 			st := h.Stats()
-			fmt.Fprintf(os.Stderr, "dspbench: %-14s %8.3fs  cache %d hits / %d misses\n",
+			fmt.Fprintf(stderr, "dspbench: %-14s %8.3fs  cache %d hits / %d misses\n",
 				name, sec.Seconds, st.Hits, st.Misses)
 		}
 		report.AddSection(sec)
+		return nil
 	}
 
 	if *tables || *all {
-		fmt.Println(bench.RenderTables())
+		fmt.Fprintln(stdout, bench.RenderTables())
 	}
-	if *fig7 || *all {
-		section("figure7", func() (bench.Section, string, error) {
+	sections := []struct {
+		on   bool
+		name string
+		run  func() (bench.Section, string, error)
+	}{
+		{*fig7, "figure7", func() (bench.Section, string, error) {
 			rows, err := h.Figure7()
 			return bench.Section{Figure: rows}, bench.RenderFigure(
 				"Figure 7: Performance Gain for DSP Kernels (over single-bank baseline)",
 				rows, bench.Figure7Modes), err
-		})
-	}
-	if *fig8 || *all {
-		section("figure8", func() (bench.Section, string, error) {
+		}},
+		{*fig8, "figure8", func() (bench.Section, string, error) {
 			rows, err := h.Figure8()
 			return bench.Section{Figure: rows}, bench.RenderFigure(
 				"Figure 8: Performance Gain for DSP Applications (over single-bank baseline)",
 				rows, bench.Figure8Modes), err
-		})
-	}
-	if *table3 || *all {
-		section("table3", func() (bench.Section, string, error) {
+		}},
+		{*table3, "table3", func() (bench.Section, string, error) {
 			rows, err := h.Table3()
 			return bench.Section{Table3: rows}, bench.RenderTable3(rows), err
-		})
-	}
-	if *orgs || *all {
-		section("organizations", func() (bench.Section, string, error) {
+		}},
+		{*orgs, "organizations", func() (bench.Section, string, error) {
 			rows, err := h.Organizations()
 			return bench.Section{Figure: rows}, bench.RenderFigure(
 				"Memory organisations: low-order interleaved (hardware conflict stalls) vs high-order banked (CB/Dup) vs dual-ported",
 				rows, bench.OrganizationModes), err
-		})
-	}
-	if *sweep || *all {
-		section("sweep_fir", func() (bench.Section, string, error) {
+		}},
+		{*sweep, "sweep_fir", func() (bench.Section, string, error) {
 			rows, err := h.SweepFIR([]int{8, 16, 32, 64, 128, 256}, 16)
 			return bench.Section{Sweep: rows}, bench.RenderSweep(
 				"FIR order sensitivity: CB gain vs filter length (16 samples)", rows), err
-		})
+		}},
+	}
+	for _, sec := range sections {
+		if sec.on || *all {
+			if err := section(sec.name, sec.run); err != nil {
+				return fail(stderr, err)
+			}
+		}
 	}
 
 	report.Cache = h.Stats()
@@ -161,34 +181,46 @@ func main() {
 		for _, rt := range report.Runs {
 			compileSum += rt.CompileSeconds
 			simSum += rt.SimSeconds
-			fmt.Fprintf(os.Stderr, "dspbench: run %-14s %-12v compile %7.3fs  sim %8.3fs\n",
+			fmt.Fprintf(stderr, "dspbench: run %-14s %-12v compile %7.3fs  sim %8.3fs\n",
 				rt.Bench, rt.Mode, rt.CompileSeconds, rt.SimSeconds)
 		}
-		fmt.Fprintf(os.Stderr, "dspbench: phase totals   compile %7.3fs  sim %8.3fs over %d runs\n",
+		fmt.Fprintf(stderr, "dspbench: phase totals   compile %7.3fs  sim %8.3fs over %d runs\n",
 			compileSum, simSum, len(report.Runs))
-		fmt.Fprintf(os.Stderr, "dspbench: total          %8.3fs  cache %d hits / %d misses (parallel=%d)\n",
+		fmt.Fprintf(stderr, "dspbench: total          %8.3fs  cache %d hits / %d misses (parallel=%d)\n",
 			report.TotalSeconds, report.Cache.Hits, report.Cache.Misses, h.Parallel)
 	}
 	if *jsonPath != "" {
-		check(report.WriteFile(*jsonPath))
+		if err := report.WriteFile(*jsonPath); err != nil {
+			return fail(stderr, err)
+		}
 	}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
-		check(err)
+		if err != nil {
+			return fail(stderr, err)
+		}
 		runtime.GC()
-		check(pprof.WriteHeapProfile(f))
-		f.Close()
+		err = pprof.WriteHeapProfile(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fail(stderr, err)
+		}
 	}
+	return 0
 }
 
-func runOne(name, partitioner string, engine bench.Engine) {
+func runOne(name, partitioner string, engine bench.Engine, stdout, stderr io.Writer) int {
 	p, ok := bench.ByName(name)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "dspbench: unknown benchmark %q (use -list)\n", name)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "dspbench: unknown benchmark %q (use -list)\n", name)
+		return 2
 	}
 	method, err := core.ParseMethod(partitioner)
-	check(err)
+	if err != nil {
+		return fail(stderr, err)
+	}
 	modes := []alloc.Mode{
 		alloc.SingleBank, alloc.CB, alloc.CBProfiled,
 		alloc.CBDup, alloc.FullDup, alloc.Ideal,
@@ -197,15 +229,18 @@ func runOne(name, partitioner string, engine bench.Engine) {
 	var base bench.Result
 	for _, m := range modes {
 		res, err := bench.RunWith(p, m, bench.RunOptions{Partitioner: method, Compiler: cc, Engine: engine})
-		check(err)
+		if err != nil {
+			return fail(stderr, err)
+		}
 		if m == alloc.SingleBank {
 			base = res
-			fmt.Printf("%-12s cycles=%-10d cost=%d\n", m, res.Cycles, res.Mem.Total())
+			fmt.Fprintf(stdout, "%-12s cycles=%-10d cost=%d\n", m, res.Cycles, res.Mem.Total())
 			continue
 		}
-		fmt.Printf("%-12s cycles=%-10d gain=%+6.1f%% cost=%-8d dupStores=%d dup=%v\n",
+		fmt.Fprintf(stdout, "%-12s cycles=%-10d gain=%+6.1f%% cost=%-8d dupStores=%d dup=%v\n",
 			m, res.Cycles, bench.Gain(base, res), res.Mem.Total(), res.DupStores, res.Duplicated)
 	}
+	return 0
 }
 
 // runSimBench measures per-engine simulator throughput over the
@@ -215,59 +250,68 @@ func runOne(name, partitioner string, engine bench.Engine) {
 // speedup fell more than 10% below the baseline's. The speedup ratio —
 // not raw ns/run — is what's compared, so the check transfers across
 // host speeds.
-func runSimBench(checkPath, jsonPath string) {
+func runSimBench(checkPath, jsonPath string, stdout, stderr io.Writer) int {
 	rows, err := bench.SimBench(bench.SimBenchSuite, 100*time.Millisecond)
-	check(err)
-	fmt.Print(bench.RenderSimBench(rows))
+	if err != nil {
+		return fail(stderr, err)
+	}
+	fmt.Fprint(stdout, bench.RenderSimBench(rows))
 	if jsonPath != "" {
 		report := &bench.Report{GOMAXPROCS: runtime.GOMAXPROCS(0), SimBench: rows}
-		check(report.WriteFile(jsonPath))
+		if err := report.WriteFile(jsonPath); err != nil {
+			return fail(stderr, err)
+		}
 	}
 	if checkPath == "" {
-		return
+		return 0
 	}
 	baseline, err := bench.ReadReport(checkPath)
-	check(err)
+	if err != nil {
+		return fail(stderr, err)
+	}
 	if len(baseline.SimBench) == 0 {
-		fmt.Fprintf(os.Stderr, "dspbench: %s carries no simbench rows\n", checkPath)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "dspbench: %s carries no simbench rows\n", checkPath)
+		return 1
 	}
 	if fails := bench.SimCheck(rows, baseline.SimBench, 0.10); len(fails) > 0 {
 		for _, f := range fails {
-			fmt.Fprintln(os.Stderr, "dspbench: REGRESSION:", f)
+			fmt.Fprintln(stderr, "dspbench: REGRESSION:", f)
 		}
-		os.Exit(1)
+		return 1
 	}
-	fmt.Printf("simcheck: no compiled-engine regression vs %s\n", checkPath)
+	fmt.Fprintf(stdout, "simcheck: no compiled-engine regression vs %s\n", checkPath)
+	return 0
 }
 
 // runSelective demonstrates the paper's §5 refinement: duplicate only
 // the arrays whose performance gain justifies their memory cost.
-func runSelective(name string) {
+func runSelective(name string, stdout, stderr io.Writer) int {
 	p, ok := bench.ByName(name)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "dspbench: unknown benchmark %q (use -list)\n", name)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "dspbench: unknown benchmark %q (use -list)\n", name)
+		return 2
 	}
 	res, err := pipeline.CompileSelective(p.Source, p.Name, pipeline.SelectiveOptions{})
-	check(err)
-	fmt.Printf("selective duplication for %s\n", p.Name)
-	fmt.Printf("plain CB: %d cycles, PCR %.3f\n", res.BaseCycles, res.BasePCR)
-	fmt.Printf("candidates: %v\n", res.Candidates)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	fmt.Fprintf(stdout, "selective duplication for %s\n", p.Name)
+	fmt.Fprintf(stdout, "plain CB: %d cycles, PCR %.3f\n", res.BaseCycles, res.BasePCR)
+	fmt.Fprintf(stdout, "candidates: %v\n", res.Candidates)
 	for _, tr := range res.Trials {
 		verdict := "rejected"
 		if tr.Kept {
 			verdict = "kept"
 		}
-		fmt.Printf("  %-10s %-8s cycles=%-8d PG=%.2f CI=%.2f PCR=%.3f  (%s)\n",
+		fmt.Fprintf(stdout, "  %-10s %-8s cycles=%-8d PG=%.2f CI=%.2f PCR=%.3f  (%s)\n",
 			tr.Symbol, verdict, tr.Cycles, tr.PG, tr.CI, tr.PCR, tr.Reason)
 	}
-	fmt.Printf("chosen: %v\n", res.Chosen)
+	fmt.Fprintf(stdout, "chosen: %v\n", res.Chosen)
+	return 0
 }
 
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dspbench:", err)
-		os.Exit(1)
-	}
+// fail reports a runtime error and returns its exit code.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "dspbench:", err)
+	return 1
 }

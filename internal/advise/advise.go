@@ -31,16 +31,12 @@ func Report(c *pipeline.Compiled) string {
 	res := c.Alloc
 	fmt.Fprintf(&sb, "Data-allocation report for %s (mode %s)\n\n", c.Name, res.Mode)
 
-	// Bank balance, one line per bank. The classic machine renders the
-	// historical X/Y pair; multi-bank allocations add B2, B3, ... lines.
-	globals, stacks := []int{res.GlobalX, res.GlobalY}, []int{res.StackX, res.StackY}
-	if res.GlobalBank != nil {
-		globals, stacks = res.GlobalBank, res.StackBank
-	}
-	for b := range globals {
-		w := res.DupWords + globals[b] + stacks[b]
+	// Bank balance, one line per bank: X and Y, then B2, B3, ... on
+	// wider machines.
+	for b, g := range res.GlobalBank {
+		st := res.StackBank[b]
 		fmt.Fprintf(&sb, "Bank %s: %d words (%d duplicated + %d globals + %d stack)\n",
-			machine.BankAt(b), w, res.DupWords, globals[b], stacks[b])
+			machine.BankAt(b), res.DupWords+g+st, res.DupWords, g, st)
 	}
 
 	if res.Graph == nil {
@@ -50,24 +46,11 @@ func Report(c *pipeline.Compiled) string {
 	}
 
 	// Residual edges: pairs the partition left in one bank.
-	side := map[*ir.Symbol]machine.Bank{}
-	partCost := int64(0)
-	switch {
-	case res.PartK != nil:
-		for b, set := range res.PartK.Sets {
-			for _, s := range set {
-				side[s] = machine.BankAt(b)
-			}
+	side := map[*ir.Symbol]int{}
+	for b, set := range res.PartK.Sets {
+		for _, s := range set {
+			side[s] = b
 		}
-		partCost = res.PartK.Cost
-	case res.Part != nil:
-		for _, s := range res.Part.SetX {
-			side[s] = machine.BankX
-		}
-		for _, s := range res.Part.SetY {
-			side[s] = machine.BankY
-		}
-		partCost = res.Part.Cost
 	}
 	type residual struct {
 		a, b string
@@ -89,7 +72,7 @@ func Report(c *pipeline.Compiled) string {
 		}
 		return left[i].a < left[j].a
 	})
-	fmt.Fprintf(&sb, "\nPartition residual cost: %d (parallel-access opportunities left in one bank)\n", partCost)
+	fmt.Fprintf(&sb, "\nPartition residual cost: %d (parallel-access opportunities left in one bank)\n", res.PartK.Cost)
 	for i, r := range left {
 		if i == 8 {
 			fmt.Fprintf(&sb, "  ... and %d more\n", len(left)-8)

@@ -4,18 +4,19 @@
 // lives:
 //
 //   - Under CB partitioning it builds the interference graph, runs the
-//     greedy min-cost bipartition, and assigns each symbol to bank X or
-//     bank Y. Callee-save slots are assigned to alternating banks
+//     greedy min-cost partition, and assigns each symbol to one bank —
+//     X or Y on the paper's machine, one of k on a k-bank machine.
+//     Callee-save slots are assigned to alternating banks
 //     mechanically, outside the graph, exactly as §3.1 prescribes.
 //   - Under partial duplication it additionally replicates every array
-//     the graph marked for duplication into both banks and inserts the
-//     coherence store that keeps the second copy current after each
+//     the graph marked for duplication into every bank and inserts the
+//     coherence stores that keep the other copies current after each
 //     store to the first.
 //   - Full duplication replicates everything; the single-bank baseline
 //     and the Ideal dual-ported configuration disable partitioning.
 //
 // Finally the pass assigns word addresses. Duplicated symbols are laid
-// out first, at equal addresses in both banks, so one address (or one
+// out first, at equal addresses in every bank, so one address (or one
 // frame offset) reaches either copy (§3.2); bank-private globals and
 // the static stack frames follow. Every memory operation is then
 // tagged with the bank holding its data, the information the
@@ -24,6 +25,7 @@ package alloc
 
 import (
 	"fmt"
+	"strings"
 
 	"dualbank/internal/core"
 	_ "dualbank/internal/exact" // registers the MethodExact backend
@@ -130,14 +132,13 @@ type Options struct {
 	// allocation must schedule and simulate to the same cycle count —
 	// the metamorphic test suite relies on this. Modes that do not
 	// steer banks (LowOrder, FullDup, Ideal ports) are unaffected.
-	// It is sugar for BankPerm = {1, 0}.
+	// It is sugar for BankPerm = {1, 0}, folded into the permutation
+	// when BankPerm is nil.
 	SwapBanks bool
-	// Spec is the bank/port geometry. The zero value is the classic
-	// 2-bank, 1-port machine, which takes the historical allocation
-	// path bit for bit; other specs run the k-way generalization.
-	// Non-default specs support the placement-steered modes only
-	// (SingleBank, CB, CBProfiled, CBDup, FullDup) — Ideal and
-	// LowOrder are defined on the paper's 2-bank machine.
+	// Spec is the bank/port geometry; the zero value is the classic
+	// 2-bank, 1-port machine, the k=2 case of the one k-way pass.
+	// Ideal and LowOrder are defined on the paper's 2-bank machine
+	// only; every other mode runs on any spec.
 	Spec machine.BankSpec
 	// BankPerm generalizes SwapBanks to an arbitrary permutation of
 	// the spec's banks: a symbol the pass would place in bank b lands
@@ -152,24 +153,21 @@ type Options struct {
 // Result describes the allocation for reporting and the cost model.
 type Result struct {
 	Mode  Mode
-	Graph *core.Graph     // nil unless the mode partitions
-	Part  *core.Partition // nil unless the mode partitions (2-bank runs)
-	// PartK is the k-way partition for non-default specs (nil on the
-	// default machine, where Part carries the bipartition).
+	Graph *core.Graph // nil unless the mode partitions
+	// PartK is the k-way partition (nil unless the mode partitions):
+	// PartK.Sets[b] holds the symbols assigned to bank b before the
+	// bank permutation. On the 2-bank machine PartK.Bipartition()
+	// gives the X/Y view.
 	PartK *core.KPartition
 
 	Duplicated []*ir.Symbol
 	DupStores  int // coherence stores inserted
 
 	// Word accounting for the cost model: the shared duplicated region
-	// (present in all banks), per-bank globals, and per-bank static
-	// stack (locals, parameter slots, spills, save slots).
-	DupWords         int
-	GlobalX, GlobalY int
-	StackX, StackY   int
-	// GlobalBank and StackBank are the per-bank accounts for banks
-	// beyond the classic pair; nil on the default machine. When set,
-	// their first two entries equal GlobalX/GlobalY and StackX/StackY.
+	// (present in all banks), then per-bank globals and per-bank
+	// static stack (locals, parameter slots, spills, save slots), one
+	// entry per bank of the spec.
+	DupWords   int
 	GlobalBank []int
 	StackBank  []int
 
@@ -178,50 +176,61 @@ type Result struct {
 	Spec machine.BankSpec
 }
 
-// Run performs data allocation on p according to opts. It mutates
-// symbol bank/address assignments and memory-op tags, and inserts
-// coherence stores for duplicated data.
+// Run performs data allocation on p according to opts: it assigns
+// every symbol to one of the spec's k banks (or to all of them when
+// duplicated), expands stores to duplicated symbols into coherence
+// stores, tags memory operations and lays out addresses. It mutates
+// symbol bank/address assignments and memory-op tags.
 func Run(p *ir.Program, opts Options) (*Result, error) {
 	if err := opts.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	if !opts.Spec.IsDefault() {
-		return runK(p, opts)
-	}
-	// Default 2-bank machine: fold BankPerm into SwapBanks and take the
-	// historical path bit for bit.
-	if perm := opts.BankPerm; perm != nil {
-		if len(perm) != 2 || perm[0] == perm[1] || perm[0] < 0 || perm[0] > 1 {
-			return nil, fmt.Errorf("alloc: bank permutation %v invalid for 2 banks", perm)
-		}
-		opts.SwapBanks = perm[0] == 1 // an explicit permutation wins
-	}
+	spec := opts.Spec.Norm()
+	k := spec.Banks
 	res := &Result{Mode: opts.Mode, Ports: machine.PortsBanked, Spec: opts.Spec}
 
-	bankX, bankY := machine.BankX, machine.BankY
-	if opts.SwapBanks {
-		bankX, bankY = bankY, bankX
+	perm := opts.BankPerm
+	if perm == nil {
+		perm = make([]int, k)
+		for i := range perm {
+			perm[i] = i
+		}
+		if opts.SwapBanks {
+			perm[0], perm[1] = 1, 0
+		}
 	}
+	if err := checkPerm(perm, k); err != nil {
+		return nil, err
+	}
+	bankAt := func(b int) machine.Bank { return machine.BankAt(perm[b]) }
 
 	switch opts.Mode {
 	case SingleBank:
 		for _, s := range p.Symbols() {
-			s.Bank = bankX
+			s.Bank = bankAt(0)
 			s.Duplicated = false
 		}
-	case Ideal:
+	case Ideal, LowOrder:
+		// Both modes are defined against the paper's fixed 2-bank
+		// machine: Ideal is its dual-ported upper bound, LowOrder its
+		// address-interleaved rival. Multi-port upper bounds on wider
+		// machines are expressed as PortsPerBank > 1 instead.
+		if !opts.Spec.IsDefault() {
+			return nil, fmt.Errorf("alloc: mode %v requires the default 2-bank machine (spec %s)",
+				opts.Mode, spec)
+		}
+		bank := bankAt(0)
 		res.Ports = machine.PortsDualPorted
-		for _, s := range p.Symbols() {
-			s.Bank = bankX
-			s.Duplicated = false
+		if opts.Mode == LowOrder {
+			// Placement cannot steer banks: the bank is the address
+			// parity. Symbols are laid out flat; memory operations stay
+			// untagged and the scheduler pairs them freely, betting on
+			// the hardware.
+			bank = machine.BankNone
+			res.Ports = machine.PortsLowOrder
 		}
-	case LowOrder:
-		res.Ports = machine.PortsLowOrder
-		// Placement cannot steer banks: the bank is the address parity.
-		// Symbols are laid out flat; memory operations stay untagged
-		// and the scheduler pairs them freely, betting on the hardware.
 		for _, s := range p.Symbols() {
-			s.Bank = machine.BankNone
+			s.Bank = bank
 			s.Duplicated = false
 		}
 	case FullDup:
@@ -245,15 +254,13 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 		} else if opts.FMPasses < 0 {
 			fmPasses = 0
 		}
-		part := g.PartitionWithPasses(opts.Method, fmPasses)
-		res.Graph, res.Part = g, part
-		for _, s := range part.SetX {
-			s.Bank = bankX
-			s.Duplicated = false
-		}
-		for _, s := range part.SetY {
-			s.Bank = bankY
-			s.Duplicated = false
+		part := g.PartitionK(k, opts.Method, fmPasses)
+		res.Graph, res.PartK = g, part
+		for b, set := range part.Sets {
+			for _, s := range set {
+				s.Bank = bankAt(b)
+				s.Duplicated = false
+			}
 		}
 		if opts.Mode == CBDup {
 			// Partial duplication. With no filter, replicate the arrays
@@ -279,25 +286,29 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 			}
 		}
 		// Save/restore slots are partitioned mechanically: successive
-		// slots of each function alternate between the banks.
+		// slots of each function rotate through the banks in
+		// permutation order — §3.1's alternation between X and Y on the
+		// 2-bank machine.
 		for _, f := range p.Funcs {
-			next := bankX
+			next := 0
 			for _, s := range f.Locals {
 				if !s.Save {
 					continue
 				}
-				s.Bank = next
+				s.Bank = bankAt(next)
 				s.Duplicated = false
-				next = next.Other()
+				next = (next + 1) % k
 			}
 		}
 	default:
 		return nil, fmt.Errorf("alloc: unknown mode %v", opts.Mode)
 	}
 
-	insertCoherenceStores(p, opts, res)
+	if err := insertCoherenceStores(p, opts, res, perm); err != nil {
+		return nil, err
+	}
 	tagMemOps(p)
-	if err := layout(p, res); err != nil {
+	if err := layout(p, res, k); err != nil {
 		return nil, err
 	}
 	if err := ir.Verify(p); err != nil {
@@ -306,36 +317,59 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// insertCoherenceStores doubles every store to a duplicated symbol:
-// the original targets the X copy and a clone, inserted immediately
-// after it, targets the Y copy (the pair swaps under opts.SwapBanks).
-// The two stores carry different bank tags, so the dependence graph
-// lets them issue in the same long instruction when both memory units
-// are free.
-func insertCoherenceStores(p *ir.Program, opts Options, res *Result) {
-	bankX, bankY := machine.BankX, machine.BankY
-	if opts.SwapBanks {
-		bankX, bankY = bankY, bankX
+// checkPerm validates a bank permutation for k banks.
+func checkPerm(perm []int, k int) error {
+	if len(perm) != k {
+		return fmt.Errorf("alloc: bank permutation %v has %d entries, want %d", perm, len(perm), k)
+	}
+	seen := make([]bool, k)
+	for _, b := range perm {
+		if b < 0 || b >= k || seen[b] {
+			return fmt.Errorf("alloc: bank permutation %v is not a permutation of 0..%d", perm, k-1)
+		}
+		seen[b] = true
+	}
+	return nil
+}
+
+// insertCoherenceStores expands every store to a duplicated symbol
+// into k stores: the original targets the permutation's first bank and
+// k-1 clones, inserted immediately after it, target the remaining
+// banks in permutation order (on the 2-bank machine: the X copy, then
+// the Y copy). Each carries a distinct single-bank tag, so the
+// dependence graph lets all k issue in one long instruction when
+// enough memory units are free.
+func insertCoherenceStores(p *ir.Program, opts Options, res *Result, perm []int) error {
+	k := len(perm)
+	if opts.InterruptSafe && k > 2 {
+		// The store-lock discipline is a pairwise instruction-bundling
+		// contract; an atomic k-way bundle is not modeled.
+		return fmt.Errorf("alloc: interrupt-safe duplication requires the 2-bank machine (%d banks)", k)
 	}
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
 			var out []*ir.Op
 			for _, op := range b.Ops {
 				if op.Kind == ir.OpStore && op.Sym.Duplicated {
-					op.Bank = bankX
-					clone := &ir.Op{
-						Kind: ir.OpStore,
-						Args: op.Args,
-						Idx:  op.Idx,
-						Sym:  op.Sym,
-						Bank: bankY,
+					op.Bank = machine.BankAt(perm[0])
+					out = append(out, op)
+					for c := 1; c < k; c++ {
+						clone := &ir.Op{
+							Kind: ir.OpStore,
+							Args: op.Args,
+							Idx:  op.Idx,
+							Sym:  op.Sym,
+							Bank: machine.BankAt(perm[c]),
+						}
+						if c == 1 {
+							op.DupPair, clone.DupPair = clone, op
+							if opts.InterruptSafe {
+								op.Atomic, clone.Atomic = true, true
+							}
+						}
+						out = append(out, clone)
+						res.DupStores++
 					}
-					op.DupPair, clone.DupPair = clone, op
-					if opts.InterruptSafe {
-						op.Atomic, clone.Atomic = true, true
-					}
-					out = append(out, op, clone)
-					res.DupStores++
 					continue
 				}
 				out = append(out, op)
@@ -348,11 +382,12 @@ func insertCoherenceStores(p *ir.Program, opts Options, res *Result) {
 			res.Duplicated = append(res.Duplicated, s)
 		}
 	}
+	return nil
 }
 
 // tagMemOps stamps every remaining memory operation with its symbol's
 // bank. Loads from duplicated symbols stay BankBoth: the scheduler may
-// satisfy them from either copy.
+// satisfy them from any copy.
 func tagMemOps(p *ir.Program) {
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
@@ -369,10 +404,10 @@ func tagMemOps(p *ir.Program) {
 	}
 }
 
-// layout assigns word addresses: first the duplicated region (equal
-// addresses in both banks), then each bank's globals, then the static
-// stack frames.
-func layout(p *ir.Program, res *Result) error {
+// layout assigns word addresses over k banks: first the duplicated
+// region (equal addresses in every bank), then each bank's globals,
+// then the static stack frames, with one cursor per bank.
+func layout(p *ir.Program, res *Result, k int) error {
 	cursorDup := 0
 	for _, s := range p.Symbols() {
 		if s.Duplicated {
@@ -382,35 +417,43 @@ func layout(p *ir.Program, res *Result) error {
 	}
 	res.DupWords = cursorDup
 
-	x, y := cursorDup, cursorDup
-	place := func(s *ir.Symbol) {
-		switch s.Bank {
-		case machine.BankY:
-			s.Addr = y
-			y += s.Size
-		default:
-			s.Addr = x
-			x += s.Size
+	cur := make([]int, k)
+	for b := range cur {
+		cur[b] = cursorDup
+	}
+	bankOf := func(s *ir.Symbol) int {
+		if i := s.Bank.Index(); i >= 0 && i < k {
+			return i
 		}
+		return 0 // unassigned data lives in bank 0 (baseline layout)
+	}
+	place := func(s *ir.Symbol) {
+		b := bankOf(s)
+		s.Addr = cur[b]
+		cur[b] += s.Size
 	}
 	for _, s := range p.Globals {
 		if !s.Duplicated {
 			place(s)
 		}
 	}
-	res.GlobalX, res.GlobalY = x-cursorDup, y-cursorDup
+	res.GlobalBank = make([]int, k)
+	for b := range cur {
+		res.GlobalBank[b] = cur[b] - cursorDup
+	}
 
-	gx, gy := x, y
+	afterGlobals := append([]int(nil), cur...)
 	for _, f := range p.Funcs {
 		fx, fy := 0, 0
 		for _, s := range f.Locals {
 			if s.Duplicated {
 				continue
 			}
-			if s.Bank == machine.BankY {
-				fy += s.Size
-			} else {
+			switch bankOf(s) {
+			case 0:
 				fx += s.Size
+			case 1:
+				fy += s.Size
 			}
 		}
 		f.FrameWordsX, f.FrameWordsY = fx, fy
@@ -420,11 +463,20 @@ func layout(p *ir.Program, res *Result) error {
 			}
 		}
 	}
-	res.StackX, res.StackY = x-gx, y-gy
+	res.StackBank = make([]int, k)
+	for b := range cur {
+		res.StackBank[b] = cur[b] - afterGlobals[b]
+	}
 
-	if x > machine.BankWords || y > machine.BankWords {
-		return fmt.Errorf("alloc: data exceeds bank capacity (X=%d Y=%d words, capacity %d)",
-			x, y, machine.BankWords)
+	for _, c := range cur {
+		if c > machine.BankWords {
+			var sb strings.Builder
+			for b, c := range cur {
+				fmt.Fprintf(&sb, "%s=%d ", machine.BankAt(b), c)
+			}
+			return fmt.Errorf("alloc: data exceeds bank capacity (%swords, capacity %d)",
+				sb.String(), machine.BankWords)
+		}
 	}
 	return nil
 }

@@ -85,7 +85,7 @@ func TestSingleBankMode(t *testing.T) {
 			t.Errorf("%s in bank %v under single-bank", s, s.Bank)
 		}
 	}
-	if res.GlobalY != 0 || res.StackY != 0 {
+	if res.GlobalBank[1] != 0 || res.StackBank[1] != 0 {
 		t.Errorf("bank Y should be empty: %+v", res)
 	}
 	if res.Ports != machine.PortsBanked {
@@ -102,7 +102,7 @@ func TestCBSeparatesPairedArrays(t *testing.T) {
 	a, b := globalByName(p, "a"), globalByName(p, "b")
 	if a.Bank == b.Bank {
 		t.Errorf("a and b in the same bank (%v); graph:\n%s\npartition:\n%s",
-			a.Bank, res.Graph, res.Part)
+			a.Bank, res.Graph, res.PartK)
 	}
 }
 
@@ -161,7 +161,7 @@ func TestFullDuplication(t *testing.T) {
 			t.Errorf("%s not duplicated under full duplication", s)
 		}
 	}
-	if res.DupWords == 0 || res.GlobalX != 0 || res.GlobalY != 0 {
+	if res.DupWords == 0 || res.GlobalBank[0] != 0 || res.GlobalBank[1] != 0 {
 		t.Errorf("layout wrong: %+v", res)
 	}
 }

@@ -175,8 +175,7 @@ type RunOptions struct {
 	DupOnly []string
 	// Banks and Ports select the machine's bank geometry — bank count
 	// and ports per bank. Zero values mean the classic dual-bank,
-	// single-ported machine, reproducing the historical measurement
-	// exactly.
+	// single-ported machine.
 	Banks, Ports int
 	// BankPerm relabels the banks by a permutation before layout; cycle
 	// counts are invariant under it (the metamorphic suite proves it)

@@ -1,27 +1,50 @@
 package bench
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"dualbank/internal/alloc"
+	"dualbank/internal/cost"
 	"dualbank/internal/machine"
 	"dualbank/internal/pipeline"
 	"dualbank/internal/sim"
 )
 
-// This file is the N=2 equivalence wall: the generalized N-bank /
-// multi-port machinery must reproduce the historical dual-bank system
-// bit-for-bit when the bank spec is the classic 2×1 geometry. The wall
-// compares, for every Table 1/2 benchmark under every allocation mode
-// and every simulation engine, a compilation with the zero-value
-// BankSpec (the historical entry point) against one with the spec
-// spelled out explicitly — five counters and the complete final bank
-// images must match. Any divergence means the generalization changed
-// the classic machine, which is forbidden.
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
+// This file is the N=2 wall: the classic 2-bank, 1-port machine is the
+// k=2 instance of the generalized N-bank model, and its observable
+// behaviour is pinned by a committed golden. For every Table 1/2
+// benchmark under every allocation mode the golden records the five
+// simulator counters, the sha256 of each final bank image and the
+// cost-model footprint. Both the zero-value BankSpec and the classic
+// geometry spelled out explicitly must reproduce it on all three
+// simulation engines, so any change to the classic machine — in the
+// partitioner, the allocator's layout, the scheduler's unit choice or
+// a simulator — fails here. Regenerate with
+//
+//	go test ./internal/bench -run TestDefaultSpecEquivalenceWall -update
+//
+// only when such a change is intended.
+
+// classicWallGolden is the committed golden, one line per benchmark
+// and mode.
+var classicWallGolden = filepath.Join("testdata", "classic_wall.golden")
 
 // equivRun captures one engine's observable outcome: the five pinned
-// counters and the full per-bank memory images.
+// counters and the per-bank memory images.
 type equivRun struct {
 	cycles, ops, mem, dual, conf int64
 	banks                        [][]uint32
@@ -59,73 +82,71 @@ func captureCompiled(t *testing.T, c *pipeline.Compiled, batch *sim.Batch) equiv
 	if err != nil {
 		t.Fatalf("compiled: %v", err)
 	}
-	// The batch recycles its arenas, so copy the images out before the
-	// next engine run reuses them.
-	banks := make([][]uint32, len(m.Banks))
-	for b := range m.Banks {
-		banks[b] = append([]uint32(nil), m.Banks[b]...)
-	}
-	return equivRun{m.Cycles, m.OpsExecuted, m.MemAccesses, m.DualMemCycles, m.BankConflicts, banks}
+	// The images are hashed before the batch recycles its arenas.
+	return equivRun{m.Cycles, m.OpsExecuted, m.MemAccesses, m.DualMemCycles, m.BankConflicts, m.Banks}
 }
 
-// sameRun compares two engine outcomes counter for counter and word
-// for word. The compiled engine's arenas cover only the used prefix of
-// each bank, so image comparison runs over the shorter image and then
-// requires the longer one to be zero beyond it — the same discipline
-// the engine differential suite uses.
-func sameRun(t *testing.T, label string, a, b equivRun) {
+// imageHash is the sha256 of a bank image with its trailing zero words
+// trimmed. The compiled engine's arenas cover only the used prefix of
+// each bank, so trimming makes every engine's image hash alike.
+func imageHash(words []uint32) string {
+	n := len(words)
+	for n > 0 && words[n-1] == 0 {
+		n--
+	}
+	h := sha256.New()
+	var buf [4]byte
+	for _, w := range words[:n] {
+		binary.LittleEndian.PutUint32(buf[:], w)
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// wallLine renders one golden line: the engine outcome of bench under
+// mode plus the compile's cost-model footprint.
+func wallLine(bench string, mode alloc.Mode, r equivRun, m cost.Memory) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%s %s cycles=%d ops=%d mem=%d dual=%d conf=%d",
+		bench, mode, r.cycles, r.ops, r.mem, r.dual, r.conf)
+	for b, img := range r.banks {
+		fmt.Fprintf(&sb, " %s=%s", machine.BankAt(b), imageHash(img))
+	}
+	extra := "nil"
+	if m.Extra != nil {
+		extra = fmt.Sprint(m.Extra)
+	}
+	fmt.Fprintf(&sb, " xdata=%d ydata=%d extra=%s stack=%d instr=%d nbanks=%d",
+		m.XData, m.YData, extra, m.Stack, m.Instr, m.NBanks)
+	return sb.String()
+}
+
+// readWallGolden loads the golden into a map keyed by "bench mode".
+func readWallGolden(t *testing.T) map[string]string {
 	t.Helper()
-	type ctr struct {
-		name string
-		x, y int64
+	b, err := os.ReadFile(classicWallGolden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to regenerate): %v", err)
 	}
-	for _, c := range []ctr{
-		{"cycles", a.cycles, b.cycles},
-		{"ops executed", a.ops, b.ops},
-		{"mem accesses", a.mem, b.mem},
-		{"dual-mem cycles", a.dual, b.dual},
-		{"bank conflicts", a.conf, b.conf},
-	} {
-		if c.x != c.y {
-			t.Errorf("%s: %s: zero-spec %d, explicit-spec %d", label, c.name, c.x, c.y)
+	want := map[string]string{}
+	sc := bufio.NewScanner(bytes.NewReader(b))
+	sc.Buffer(nil, 1<<16)
+	for sc.Scan() {
+		f := strings.Fields(sc.Text())
+		if len(f) >= 2 {
+			want[f[0]+" "+f[1]] = sc.Text()
 		}
 	}
-	if len(a.banks) != len(b.banks) {
-		t.Fatalf("%s: %d banks vs %d", label, len(a.banks), len(b.banks))
-	}
-	for bank := range a.banks {
-		ab, bb := a.banks[bank], b.banks[bank]
-		n := len(ab)
-		if len(bb) < n {
-			n = len(bb)
-		}
-		for i := 0; i < n; i++ {
-			if ab[i] != bb[i] {
-				t.Fatalf("%s: bank %s word %#x: zero-spec %#x, explicit-spec %#x",
-					label, machine.BankAt(bank), i, ab[i], bb[i])
-			}
-		}
-		for i := n; i < len(ab); i++ {
-			if ab[i] != 0 {
-				t.Fatalf("%s: bank %s word %#x nonzero beyond shorter image", label, machine.BankAt(bank), i)
-			}
-		}
-		for i := n; i < len(bb); i++ {
-			if bb[i] != 0 {
-				t.Fatalf("%s: bank %s word %#x nonzero beyond shorter image", label, machine.BankAt(bank), i)
-			}
-		}
-	}
+	return want
 }
 
 // TestDefaultSpecEquivalenceWall runs the full 23-benchmark × 7-mode ×
-// 3-engine matrix twice — once through the historical zero-value
-// options and once with the classic geometry spelled out as an
-// explicit BankSpec — and requires bit-for-bit agreement on all five
-// counters and the complete bank images. This is the wall that lets
-// every committed baseline (dspbench tables, BENCH_explore.json,
-// BENCH_gaps.json, BENCH_corpus.json) survive the N-bank
-// generalization byte-identical.
+// 3-engine matrix twice — once with the zero-value options and once
+// with the classic geometry spelled out as an explicit BankSpec — and
+// requires every run to match the committed classic-machine golden:
+// the five counters, the bank-image hashes and the cost-model
+// footprint (whose NBanks stays 0 and Extra nil, the canonical
+// classic values every committed baseline and wire format carry).
 func TestDefaultSpecEquivalenceWall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence wall in short mode")
@@ -135,12 +156,30 @@ func TestDefaultSpecEquivalenceWall(t *testing.T) {
 		alloc.CBDup, alloc.FullDup, alloc.Ideal, alloc.LowOrder,
 	}
 	explicit := machine.BankSpec{Banks: 2, PortsPerBank: 1}
-	if !explicit.IsDefault() {
-		t.Fatal("explicit 2x1 spec must be the default geometry")
-	}
 	progs := append(Kernels(), Applications()...)
 	if len(progs) != 23 {
 		t.Fatalf("suite has %d benchmarks, wall expects 23", len(progs))
+	}
+	var want map[string]string
+	var mu sync.Mutex
+	got := map[string]string{}
+	if *updateGolden {
+		t.Cleanup(func() {
+			var sb strings.Builder
+			for _, p := range progs {
+				for _, mode := range modes {
+					sb.WriteString(got[p.Name+" "+mode.String()] + "\n")
+				}
+			}
+			if err := os.WriteFile(classicWallGolden, []byte(sb.String()), 0o644); err != nil {
+				t.Error(err)
+			}
+		})
+	} else {
+		want = readWallGolden(t)
+		if len(want) != len(progs)*len(modes) {
+			t.Fatalf("golden has %d lines, want %d", len(want), len(progs)*len(modes))
+		}
 	}
 	for _, p := range progs {
 		p := p
@@ -148,18 +187,37 @@ func TestDefaultSpecEquivalenceWall(t *testing.T) {
 			t.Parallel()
 			var batch sim.Batch
 			for _, mode := range modes {
-				zc, err := pipeline.Compile(p.Source, p.Name, pipeline.Options{Mode: mode})
-				if err != nil {
-					t.Fatalf("%v: compile (zero spec): %v", mode, err)
+				key := p.Name + " " + mode.String()
+				for _, spec := range []machine.BankSpec{{}, explicit} {
+					c, err := pipeline.Compile(p.Source, p.Name, pipeline.Options{Mode: mode, Spec: spec})
+					if err != nil {
+						t.Fatalf("%v spec %+v: compile: %v", mode, spec, err)
+					}
+					mem := cost.Of(c.Alloc, c.Sched)
+					for _, eng := range []struct {
+						name string
+						run  equivRun
+					}{
+						{"reference", captureRef(t, c)},
+						{"fast", captureFast(t, c)},
+						{"compiled", captureCompiled(t, c, &batch)},
+					} {
+						line := wallLine(p.Name, mode, eng.run, mem)
+						if *updateGolden {
+							mu.Lock()
+							if prev, ok := got[key]; ok && prev != line {
+								t.Errorf("%s: engines or specs disagree:\n%s\n%s", key, prev, line)
+							}
+							got[key] = line
+							mu.Unlock()
+							continue
+						}
+						if line != want[key] {
+							t.Errorf("%s spec %+v engine %s diverged from %s:\ngot:  %s\nwant: %s",
+								key, spec, eng.name, classicWallGolden, line, want[key])
+						}
+					}
 				}
-				ec, err := pipeline.Compile(p.Source, p.Name, pipeline.Options{Mode: mode, Spec: explicit})
-				if err != nil {
-					t.Fatalf("%v: compile (explicit spec): %v", mode, err)
-				}
-				sameRun(t, p.Name+"/"+mode.String()+"/reference", captureRef(t, zc), captureRef(t, ec))
-				sameRun(t, p.Name+"/"+mode.String()+"/fast", captureFast(t, zc), captureFast(t, ec))
-				sameRun(t, p.Name+"/"+mode.String()+"/compiled",
-					captureCompiled(t, zc, &batch), captureCompiled(t, ec, &batch))
 			}
 		})
 	}

@@ -42,7 +42,7 @@ func TestPartitionerDifferential(t *testing.T) {
 			for _, s := range c.IR.Symbols() {
 				banks[s.Name] = s.Bank
 			}
-			return outcome{cost: c.Alloc.Part.Cost, banks: banks}
+			return outcome{cost: c.Alloc.PartK.Cost, banks: banks}
 		}
 		greedy := compile(core.MethodGreedy)
 		for _, m := range []core.Method{core.MethodFM, core.MethodKL} {

@@ -86,7 +86,7 @@ func TestExactArmNeverWorse(t *testing.T) {
 			for _, s := range c.IR.Symbols() {
 				banks[s.Name] = s.Bank
 			}
-			return c.Alloc.Part.Cost, banks
+			return c.Alloc.PartK.Cost, banks
 		}
 		exactCost, exactBanks := compile(core.MethodExact)
 		for _, m := range []core.Method{core.MethodGreedy, core.MethodFM, core.MethodKL, core.MethodAnneal} {

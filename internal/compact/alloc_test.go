@@ -41,21 +41,29 @@ func allocTestBlock() (*ir.Func, *ir.Block) {
 // TestScheduleBlockZeroAlloc enforces the fast compile path's
 // steady-state contract: with a warm Scratch, scheduling a block
 // performs zero heap allocations (the sealed output block is built
-// separately, by seal).
+// separately, by seal, and the unit-preference table once per program,
+// by normalize).
 func TestScheduleBlockZeroAlloc(t *testing.T) {
 	_, blk := allocTestBlock()
-	s := new(Scratch)
-	cfg := Config{Ports: machine.PortsBanked}
-	if _, err := s.scheduleBlock(blk, cfg, nil); err != nil { // warm the scratch
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := s.scheduleBlock(blk, cfg, nil); err != nil {
+	for _, cfg := range []Config{
+		{Ports: machine.PortsBanked},
+		{Ports: machine.PortsBanked, MirrorBanks: true},
+		{Ports: machine.PortsDualPorted},
+		{Spec: machine.BankSpec{Banks: 4, PortsPerBank: 2}},
+	} {
+		s := new(Scratch)
+		su := cfg.normalize()
+		if _, err := s.scheduleBlock(blk, su); err != nil { // warm the scratch
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("scheduleBlock allocates %.1f objects/op with warm scratch, want 0", allocs)
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := s.scheduleBlock(blk, su); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%+v: scheduleBlock allocates %.1f objects/op with warm scratch, want 0", cfg, allocs)
+		}
 	}
 }
 
@@ -99,13 +107,14 @@ func BenchmarkScheduleBlock(b *testing.B) {
 	_, blk := allocTestBlock()
 	s := new(Scratch)
 	cfg := Config{Ports: machine.PortsBanked}
-	if _, err := s.scheduleBlock(blk, cfg, nil); err != nil {
+	su := cfg.normalize()
+	if _, err := s.scheduleBlock(blk, su); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.scheduleBlock(blk, cfg, nil); err != nil {
+		if _, err := s.scheduleBlock(blk, su); err != nil {
 			b.Fatal(err)
 		}
 	}

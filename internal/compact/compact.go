@@ -84,37 +84,35 @@ func (p *Program) StaticInstrs() int {
 
 // Config parameterises scheduling.
 type Config struct {
-	// Ports is the memory port model: banked (MU0=X, MU1=Y) or
-	// dual-ported (Ideal). Non-default Specs always use the banked
-	// model (each memory unit is one port of one bank).
+	// Ports is the memory port model: banked (each memory unit reaches
+	// the banks the spec wires it to) or, on the 2-bank machine,
+	// dual-ported (Ideal) or low-order interleaved, under which every
+	// memory unit reaches every bank.
 	Ports machine.PortModel
 	// Spec is the bank/port geometry; the zero value is the classic
-	// 2-bank, 1-port machine, which takes the historical scheduling
-	// path bit for bit.
+	// 2-bank, 1-port machine (MU0 wired to X, MU1 to Y).
 	Spec machine.BankSpec
-	// MirrorBanks flips the unit preference for operations free to use
-	// either memory unit (duplicated loads tagged BankBoth): MU1 is
-	// tried before MU0. Set when the allocation ran with swapped banks,
-	// it makes the schedule of a mirrored allocation the exact mirror
-	// of the unmirrored one — the swap-invariance the metamorphic tests
-	// assert would otherwise be broken by the fixed MU0-first order.
-	// It is sugar for BankPerm = {1, 0} (plus identity beyond bank 1).
+	// MirrorBanks swaps the first two banks in the unit preference: it
+	// is sugar for BankPerm = {1, 0, 2, 3, ...}, folded into the
+	// permutation when BankPerm is nil. Set when the allocation ran
+	// with swapped banks, it makes the schedule of a mirrored
+	// allocation the exact mirror of the unmirrored one.
 	MirrorBanks bool
-	// BankPerm generalizes MirrorBanks to an arbitrary bank
-	// permutation: the unit preference for bank-free operations tries
-	// banks in BankPerm order (BankPerm[0]'s units first). Nil means
-	// identity. Set when the allocation ran under the same permutation,
-	// it makes the schedule of a permuted allocation the exact
-	// permutation image of the original — the k-ary generalization of
-	// the swap-invariance above.
+	// BankPerm is the bank permutation the allocation ran under: the
+	// unit preference for bank-free operations (duplicated loads
+	// tagged BankBoth) tries banks in BankPerm order, BankPerm[0]'s
+	// units first. Nil means identity. It makes the schedule of a
+	// permuted allocation the exact permutation image of the original
+	// — the swap invariance the metamorphic tests assert.
 	BankPerm []int
 }
 
-// specUnits is the per-Config unit-preference table for non-default
-// bank specs, built once per ScheduleWith (and per Validate) so the
-// per-operation unitsFor lookup stays allocation-free.
+// specUnits is the per-Config unit-preference table, built once per
+// ScheduleWith (and per Validate) so the per-operation unitsFor lookup
+// stays allocation-free.
 type specUnits struct {
-	// forBank[b] lists the memory units wired to bank b, ordinal order.
+	// forBank[b] lists the memory units that may access bank b, most
+	// preferred first.
 	forBank [][]machine.Unit
 	// anyBank is the preference order for bank-free operations
 	// (duplicated loads tagged BankBoth): banks in permutation order,
@@ -122,38 +120,34 @@ type specUnits struct {
 	anyBank []machine.Unit
 }
 
-// normalize resolves the Config's spec/permutation pair: it returns
-// nil for configurations the historical 2-bank scheduler handles
-// (possibly after folding BankPerm {1,0} into MirrorBanks), and a
-// freshly built specUnits table otherwise.
-func (cfg *Config) normalize() *specUnits {
-	perm := cfg.BankPerm
-	if cfg.Spec.IsDefault() {
-		switch {
-		case perm == nil, len(perm) == 2 && perm[0] == 0 && perm[1] == 1:
-			return nil
-		case len(perm) == 2 && perm[0] == 1 && perm[1] == 0:
-			cfg.MirrorBanks = true
-			cfg.BankPerm = nil
-			return nil
-		}
-	}
+// normalize resolves the Config's spec, port model and permutation
+// into the unit-preference table. Under the banked model each bank is
+// reached by the units the spec wires to it; under the dual-ported and
+// low-order models every bank is reached by every memory unit, in
+// permutation order.
+func (cfg Config) normalize() *specUnits {
 	spec := cfg.Spec.Norm()
+	perm := cfg.BankPerm
 	if perm == nil {
 		perm = make([]int, spec.Banks)
 		for i := range perm {
 			perm[i] = i
 		}
-		if cfg.MirrorBanks && spec.Banks >= 2 {
+		if cfg.MirrorBanks {
 			perm[0], perm[1] = 1, 0
 		}
 	}
 	su := &specUnits{forBank: make([][]machine.Unit, spec.Banks)}
-	for b := 0; b < spec.Banks; b++ {
+	for b := range su.forBank {
 		su.forBank[b] = spec.UnitsForBankIndex(b)
 	}
 	for _, b := range perm {
 		su.anyBank = append(su.anyBank, su.forBank[b]...)
+	}
+	if cfg.Ports != machine.PortsBanked {
+		for b := range su.forBank {
+			su.forBank[b] = su.anyBank
+		}
 	}
 	return su
 }
@@ -213,7 +207,7 @@ func ScheduleWith(p *ir.Program, cfg Config, s *Scratch) (*Program, error) {
 	for _, f := range p.Funcs {
 		sf := &Func{Src: f, Blocks: make([]*Block, 0, len(f.Blocks))}
 		for _, b := range f.Blocks {
-			n, err := s.scheduleBlock(b, cfg, su)
+			n, err := s.scheduleBlock(b, su)
 			if err != nil {
 				return nil, fmt.Errorf("compact %s %s: %w", f.Name, b, err)
 			}
@@ -224,34 +218,21 @@ func ScheduleWith(p *ir.Program, cfg Config, s *Scratch) (*Program, error) {
 	return out, nil
 }
 
-// unitsMemoryMirror is the both-memory-units candidate list in MU1-
-// first order, used when Config.MirrorBanks flips the preference.
-var unitsMemoryMirror = []machine.Unit{machine.MU1, machine.MU0}
-
 // unitsFor lists the functional units that may execute op, most
-// preferred first. The returned slice is shared and read-only. su is
-// nil on the default 2-bank machine (the historical path) and the
-// prebuilt preference table otherwise.
-func unitsFor(op *ir.Op, cfg Config, su *specUnits) []machine.Unit {
+// preferred first. The returned slice is shared and read-only.
+func unitsFor(op *ir.Op, su *specUnits) []machine.Unit {
 	cls := op.Kind.Class()
 	if cls != machine.ClassMemory {
 		return machine.UnitsOf(cls)
 	}
-	if su != nil {
-		if b := op.Bank.Index(); b >= 0 {
-			return su.forBank[b]
-		}
-		if op.Bank == machine.BankBoth {
-			return su.anyBank
-		}
-		// Unassigned data lives in bank 0 (the baseline layout).
-		return su.forBank[0]
+	if b := op.Bank.Index(); b >= 0 {
+		return su.forBank[b]
 	}
-	units := cfg.Ports.UnitsForBank(op.Bank)
-	if cfg.MirrorBanks && len(units) == 2 {
-		return unitsMemoryMirror
+	if op.Bank == machine.BankBoth {
+		return su.anyBank
 	}
-	return units
+	// Unassigned data lives in bank 0 (the baseline layout).
+	return su.forBank[0]
 }
 
 // scheduleBlock list-schedules one block into the scratch arena and
@@ -259,7 +240,7 @@ func unitsFor(op *ir.Op, cfg Config, su *specUnits) []machine.Unit {
 // it performs no heap allocations: the dependence graph, bookkeeping
 // arrays, and instruction storage are all reused (enforced by
 // TestScheduleBlockZeroAlloc).
-func (s *Scratch) scheduleBlock(b *ir.Block, cfg Config, su *specUnits) (int, error) {
+func (s *Scratch) scheduleBlock(b *ir.Block, su *specUnits) (int, error) {
 	g := s.ddg.Build(b)
 	n := len(g.Ops)
 	s.arena = s.arena[:0]
@@ -348,8 +329,8 @@ func (s *Scratch) scheduleBlock(b *ir.Block, cfg Config, su *specUnits) (int, er
 					if j < 0 || s.scheduled[j] || s.inDRS[j] != s.drsEpoch || !s.compatible(g, j, cycle) {
 						continue
 					}
-					if s.place(g, instr, cfg, su, i, cycle) {
-						if s.place(g, instr, cfg, su, j, cycle) {
+					if s.place(g, instr, su, i, cycle) {
+						if s.place(g, instr, su, j, cycle) {
 							placed = true
 						} else {
 							// Undo: both halves wait for the next cycle.
@@ -365,7 +346,7 @@ func (s *Scratch) scheduleBlock(b *ir.Block, cfg Config, su *specUnits) (int, er
 					}
 					continue
 				}
-				if s.place(g, instr, cfg, su, i, cycle) {
+				if s.place(g, instr, su, i, cycle) {
 					placed = true
 				}
 			}
@@ -393,8 +374,8 @@ func (s *Scratch) compatible(g *ddg.Graph, i, cycle int) bool {
 }
 
 // place puts op i into the first free unit that can execute it.
-func (s *Scratch) place(g *ddg.Graph, instr *Instr, cfg Config, su *specUnits, i, cycle int) bool {
-	for _, u := range unitsFor(g.Ops[i], cfg, su) {
+func (s *Scratch) place(g *ddg.Graph, instr *Instr, su *specUnits, i, cycle int) bool {
+	for _, u := range unitsFor(g.Ops[i], su) {
 		if instr.Slots[u] == nil {
 			instr.Slots[u] = g.Ops[i]
 			s.scheduled[i] = true
@@ -439,7 +420,7 @@ func Validate(p *Program) error {
 					cycle[op] = c
 					cls := op.Kind.Class()
 					okUnit := false
-					for _, au := range unitsFor(op, vcfg, vsu) {
+					for _, au := range unitsFor(op, vsu) {
 						if machine.Unit(u) == au {
 							okUnit = true
 						}

@@ -10,11 +10,11 @@ import (
 )
 
 // This file generalizes the bipartitioners to k-way partitioning for
-// machines with more than two data banks. The k=2 case delegates to
-// the battle-tested bipartition code paths (Partition, PartitionFM,
-// PartitionKL, PartitionAnneal, the registered exact backend), so the
-// generalized entry point is bit-for-bit the historical system on the
-// default machine — a property the equivalence tests pin.
+// machines with more than two data banks. PartitionK is the allocation
+// pass's one partitioning entry point; its k=2 case is the
+// bipartitioners themselves (Partition, PartitionFM, PartitionKL,
+// PartitionAnneal, the registered exact backend), which the paper's
+// machine and the committed classic-machine goldens rest on.
 
 // KPartition is the result of a k-way partition: Sets[b] holds the
 // symbols assigned to bank b. Cost is the residual cost — the summed
@@ -70,9 +70,8 @@ var exactKPartition func(*Graph, int) *KPartition
 func RegisterExactKPartitioner(f func(*Graph, int) *KPartition) { exactKPartition = f }
 
 // PartitionK partitions the graph's nodes into k banks with the chosen
-// method. k == 2 delegates to the corresponding bipartitioner, so the
-// default machine takes the historical code path; k > 2 runs the k-way
-// generalizations below. fmPasses has the PartitionWithPasses meaning.
+// method. k == 2 delegates to the corresponding bipartitioner; k > 2
+// runs the k-way generalizations below. fmPasses has the PartitionWithPasses meaning.
 func (g *Graph) PartitionK(k int, m Method, fmPasses int) *KPartition {
 	if k < 2 {
 		panic(fmt.Sprintf("core: PartitionK with k = %d", k))

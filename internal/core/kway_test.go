@@ -69,9 +69,9 @@ func TestKWayFMNeverWorseThanGreedy(t *testing.T) {
 }
 
 // TestKWayK2MatchesBipartition pins the N=2 equivalence at the
-// partitioner layer: PartitionK(2, ...) must be bit-for-bit the
-// historical bipartition path for every method — same cost, same sets
-// in the same order, same trace.
+// partitioner layer: PartitionK(2, ...) must equal the bipartitioner
+// for every method — same cost, same sets in the same order, same
+// trace.
 func TestKWayK2MatchesBipartition(t *testing.T) {
 	cases := []struct {
 		name   string

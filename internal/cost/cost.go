@@ -20,55 +20,44 @@ import (
 // Memory is the word-level memory footprint of a compiled program.
 type Memory struct {
 	// XData and YData are each bank's data size: the duplicated region
-	// (present in both banks) plus the bank's private globals.
+	// (present in every bank) plus the bank's private globals.
 	XData, YData int
 	// Extra are the data sizes of banks beyond the classic X/Y pair,
-	// in bank order; empty on the 2-bank machine.
+	// in bank order; nil on the 2-bank machine.
 	Extra []int
 	// Stack is the static stack reservation S; every bank reserves it.
 	Stack int
 	// Instr is the instruction-memory size in words (one per long
 	// instruction).
 	Instr int
-	// NBanks is the number of banks reserving the stack; 0 means the
-	// classic two, preserving the paper's 2·S term.
+	// NBanks is the number of banks reserving the stack when it is
+	// more than two. On the 2-bank machine it is 0, the canonical
+	// classic value: Total then applies the paper's 2·S term, and the
+	// field is absent from the wire format and checkpoint records.
 	NBanks int
 }
 
-// Of computes the footprint from an allocation result and a schedule.
+// Of computes the footprint from an allocation result and a schedule:
+// one data term per bank and the largest per-bank stack, reserved in
+// every bank.
 func Of(a *alloc.Result, sched *compact.Program) Memory {
-	if a.GlobalBank != nil {
-		// k-way allocation: one data term per bank, stack reserved in
-		// every bank.
-		k := len(a.GlobalBank)
-		s := 0
-		for _, st := range a.StackBank {
-			if st > s {
-				s = st
-			}
+	m := Memory{Instr: sched.StaticInstrs()}
+	for b, g := range a.GlobalBank {
+		data := a.DupWords + g
+		switch b {
+		case 0:
+			m.XData = data
+		case 1:
+			m.YData = data
+		default:
+			m.Extra = append(m.Extra, data)
 		}
-		m := Memory{
-			XData:  a.DupWords + a.GlobalBank[0],
-			YData:  a.DupWords + a.GlobalBank[1],
-			Stack:  s,
-			Instr:  sched.StaticInstrs(),
-			NBanks: k,
-		}
-		for b := 2; b < k; b++ {
-			m.Extra = append(m.Extra, a.DupWords+a.GlobalBank[b])
-		}
-		return m
+		m.Stack = max(m.Stack, a.StackBank[b])
 	}
-	s := a.StackX
-	if a.StackY > s {
-		s = a.StackY
+	if k := len(a.GlobalBank); k > 2 {
+		m.NBanks = k
 	}
-	return Memory{
-		XData: a.DupWords + a.GlobalX,
-		YData: a.DupWords + a.GlobalY,
-		Stack: s,
-		Instr: sched.StaticInstrs(),
-	}
+	return m
 }
 
 // Total evaluates the cost model, generalized to k banks: every bank's

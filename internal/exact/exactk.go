@@ -37,7 +37,7 @@ func init() {
 }
 
 // SolveK runs the certified k-way partitioner on g. k == 2 delegates
-// to Solve, so the default machine takes the historical search.
+// to the bipartition search, Solve.
 func SolveK(g *core.Graph, k int, opt Options) *ResultK {
 	if k == 2 {
 		r := Solve(g, opt)

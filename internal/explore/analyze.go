@@ -31,7 +31,7 @@ func Analyze(source, name string) (*Analysis, error) {
 // Dot renders the interference graph in Graphviz format, colored by
 // the final partition.
 func (a *Analysis) Dot() string {
-	return a.Compiled.Alloc.Graph.Dot(a.Compiled.Alloc.Part)
+	return a.Compiled.Alloc.Graph.Dot(a.Compiled.Alloc.PartK.Bipartition())
 }
 
 // WriteText renders the full analysis: the weighted interference
@@ -39,13 +39,14 @@ func (a *Analysis) Dot() string {
 // partition, and every global's bank assignment.
 func (a *Analysis) WriteText(w io.Writer) {
 	al := a.Compiled.Alloc
+	part := al.PartK.Bipartition()
 	fmt.Fprintln(w, "Interference graph (edge weight = loop nesting depth + 1):")
 	fmt.Fprint(w, al.Graph.String())
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Greedy partition (Figure 5): cost after each move:")
-	fmt.Fprintf(w, "  %v\n\n", al.Part.Trace)
+	fmt.Fprintf(w, "  %v\n\n", part.Trace)
 	fmt.Fprintln(w, "Final partition:")
-	fmt.Fprintln(w, al.Part)
+	fmt.Fprintln(w, part)
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Bank assignment:")
 	for _, g := range a.Compiled.IR.Globals {

@@ -99,7 +99,7 @@ func (c Config) Key() string {
 	}
 	if c.Banks != 0 || c.Ports != 0 {
 		// The hardware term appears only off the classic machine, so
-		// every historical key is unchanged.
+		// classic keys carry no geometry.
 		fmt.Fprintf(&sb, ";hw=%s", c.Spec().Norm())
 	}
 	return sb.String()

@@ -102,14 +102,13 @@ type Options struct {
 	Progress func(Event)
 	// Banks and Ports pin the exploration to one machine geometry
 	// (stamped onto every candidate configuration). Zero values explore
-	// the classic dual-bank, single-ported machine, byte-identical to
-	// the pre-generalization explorer.
+	// the classic dual-bank, single-ported machine.
 	Banks, Ports int
 }
 
 // hw is the hardware-cost annotation for the exploration's machine: 0
-// on the classic machine (keeping historical report bytes), the spec's
-// HardwareCost otherwise.
+// on the classic machine (so classic reports carry no hardware term),
+// the spec's HardwareCost otherwise.
 func (o Options) hw() int {
 	s := machine.BankSpec{Banks: o.Banks, PortsPerBank: o.Ports}
 	if s.IsDefault() {
@@ -208,9 +207,10 @@ type engine struct {
 }
 
 // Explore searches the design space of each benchmark and returns the
-// frontiers. On cancellation it returns the report for the benchmarks
-// completed so far alongside the error; everything already evaluated
-// is checkpointed.
+// frontiers. A cancelled exploration always fails with ctx.Err(), even
+// when the cancel lands after the last evaluation finished: it returns
+// the report for the benchmarks completed so far alongside the error,
+// and everything already evaluated stays checkpointed.
 func Explore(ctx context.Context, progs []bench.Program, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	e := &engine{opts: opts, eval: opts.Evaluate, evalB: opts.EvaluateBatch}
@@ -282,6 +282,9 @@ func Explore(ctx context.Context, progs []bench.Program, opts Options) (*Report,
 			}
 		}
 		rep.Suite = f.Points()
+	}
+	if err := ctx.Err(); err != nil {
+		return rep, err
 	}
 	return rep, nil
 }
@@ -537,12 +540,7 @@ func (e *engine) evalBatch(ctx context.Context, p bench.Program, configs []Confi
 	}
 	close(next)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return roundResult(ctx, out, errs)
 }
 
 // evalBatched is the batched flow: checkpoint replays resolve first in
@@ -590,10 +588,21 @@ func (e *engine) evalBatched(ctx context.Context, p bench.Program, configs []Con
 		}
 		wg.Wait()
 	}
+	return roundResult(ctx, out, errs)
+}
+
+// roundResult closes one evaluation round: the first evaluation error
+// fails it, and so does a cancellation that arrived while the round's
+// evaluations were finishing — its completed results are checkpointed
+// already, but the exploration must not go on to report success.
+func roundResult(ctx context.Context, out []Eval, errs []error) ([]Eval, error) {
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

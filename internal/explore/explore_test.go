@@ -3,6 +3,8 @@ package explore
 import (
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -173,6 +175,40 @@ func TestExploreResumeAfterKill(t *testing.T) {
 	}
 	if resumed.StoreHits != int(storeHits.Load()) {
 		t.Errorf("report counts %d store hits, progress stream saw %d", resumed.StoreHits, storeHits.Load())
+	}
+}
+
+// TestClassicStoreRecordsCanonical requires the checkpoint records of
+// a classic-machine exploration to carry the two-bank footprint only:
+// no mem_extra and no mem_nbanks, so stores written before the N-bank
+// generalization and after it hold byte-identical records.
+func TestClassicStoreRecordsCanonical(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := prog(t, "fir_32_1")
+	if _, err := Explore(context.Background(), []bench.Program{p}, Options{Budget: 8, Store: st}); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("exploration checkpointed no records")
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, field := range []string{`"mem_nbanks"`, `"mem_extra"`} {
+			if strings.Contains(string(b), field) {
+				t.Errorf("%s: classic record carries %s:\n%s", filepath.Base(f), field, b)
+			}
+		}
 	}
 }
 

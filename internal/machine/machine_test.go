@@ -61,31 +61,28 @@ func TestUnitsOfClasses(t *testing.T) {
 	}
 }
 
-func TestPortModelBinding(t *testing.T) {
-	// Banked: MU0 reaches only X, MU1 only Y.
-	if got := PortsBanked.UnitsForBank(BankX); len(got) != 1 || got[0] != MU0 {
-		t.Errorf("banked X units = %v", got)
+// TestDefaultSpecUnitBinding pins the paper's wiring on the zero-value
+// spec: two memory units, MU0 the only unit reaching bank X and MU1
+// the only unit reaching bank Y.
+func TestDefaultSpecUnitBinding(t *testing.T) {
+	var s BankSpec
+	if got := s.UnitsForBankIndex(0); len(got) != 1 || got[0] != MU0 {
+		t.Errorf("bank X units = %v, want [MU0]", got)
 	}
-	if got := PortsBanked.UnitsForBank(BankY); len(got) != 1 || got[0] != MU1 {
-		t.Errorf("banked Y units = %v", got)
+	if got := s.UnitsForBankIndex(1); len(got) != 1 || got[0] != MU1 {
+		t.Errorf("bank Y units = %v, want [MU1]", got)
 	}
-	// Duplicated data may use either unit even on the banked model.
-	if got := PortsBanked.UnitsForBank(BankBoth); len(got) != 2 {
-		t.Errorf("banked Both units = %v", got)
-	}
-	// Dual-ported: any unit reaches any bank.
-	for _, b := range []Bank{BankX, BankY, BankBoth} {
-		if got := PortsDualPorted.UnitsForBank(b); len(got) != 2 {
-			t.Errorf("dual-ported %v units = %v", b, got)
-		}
+	if got := s.MemUnits(); len(got) != 2 || got[0] != MU0 || got[1] != MU1 {
+		t.Errorf("memory units = %v, want [MU0 MU1]", got)
 	}
 }
 
 func TestBankOfUnit(t *testing.T) {
-	if BankOfUnit(MU0) != BankX || BankOfUnit(MU1) != BankY {
+	var s BankSpec
+	if s.BankOfUnit(MU0) != BankX || s.BankOfUnit(MU1) != BankY {
 		t.Fatal("memory unit bank binding wrong")
 	}
-	if BankOfUnit(DU0) != BankNone {
+	if s.BankOfUnit(DU0) != BankNone {
 		t.Fatal("non-memory unit should have no bank")
 	}
 }

@@ -5,13 +5,12 @@ import "fmt"
 // This file generalizes the fixed two-bank, one-port-per-bank machine
 // of Figure 2 into a parameterized family: N data banks, each with P
 // ports, each port carried by its own memory unit. The zero-value
-// BankSpec is the paper's machine (2 banks x 1 port, MU0<->X, MU1<->Y),
-// and every consumer routes the zero value through the exact code paths
-// that existed before the generalization, so the default configuration
-// is bit-for-bit the historical system.
+// BankSpec is the paper's machine (2 banks x 1 port, MU0<->X, MU1<->Y):
+// the k=2 instance of the family, which every consumer runs through
+// the same code as any other geometry.
 
 // Capacity limits for the generalized machine. The ISA encoding keeps
-// the nine classic units at their historical numbers (PCU=0 .. FPU1=8)
+// the nine classic units at their Figure 2 numbers (PCU=0 .. FPU1=8)
 // and appends extra memory units after FPU1, so the unit number space
 // grows but never renumbers.
 const (
@@ -56,7 +55,7 @@ func MemOrdinal(u Unit) int {
 // BankAt returns the Bank value naming data bank index i. Indexes 0
 // and 1 are the classic BankX and BankY; higher indexes map past
 // BankBoth (bank 2 = Bank(4), bank 3 = Bank(5), ...), so every
-// historical Bank constant keeps its value and BankBoth stays the
+// classic Bank constant keeps its value and BankBoth stays the
 // "duplicated in all banks" sentinel.
 func BankAt(i int) Bank {
 	switch i {
@@ -117,10 +116,10 @@ func (s BankSpec) Norm() BankSpec {
 }
 
 // IsDefault reports whether the spec (after normalization) is the
-// paper's 2-bank, 1-port machine with the dedicated binding. Consumers
-// route default specs through the historical code paths, which is what
-// pins the generalized system bit-for-bit to the pre-generalization
-// one.
+// paper's 2-bank, 1-port machine with the dedicated binding. It selects
+// no code path: allocation uses it to admit the Ideal and LowOrder
+// modes, which are defined on the paper's machine only, and cache keys
+// and reports use it to omit the geometry term on the classic machine.
 func (s BankSpec) IsDefault() bool {
 	s = s.Norm()
 	if s.Banks != 2 || s.PortsPerBank != 1 {
@@ -190,8 +189,8 @@ func (s BankSpec) BankOfMemUnit(j int) int {
 }
 
 // BankOfUnit reports which bank unit u accesses under the spec, or
-// BankNone for non-memory units. It generalizes the package-level
-// BankOfUnit, which remains the default-spec fast path.
+// BankNone for non-memory units. On the zero-value spec MU0 reaches X
+// and MU1 reaches Y.
 func (s BankSpec) BankOfUnit(u Unit) Bank {
 	j := MemOrdinal(u)
 	if j < 0 || j >= s.NumMemUnits() {

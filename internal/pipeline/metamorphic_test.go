@@ -131,15 +131,17 @@ func TestSwapBanksMirrorsAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Alloc.GlobalX != swapped.Alloc.GlobalY || plain.Alloc.GlobalY != swapped.Alloc.GlobalX {
+	pg, sg := plain.Alloc.GlobalBank, swapped.Alloc.GlobalBank
+	ps, ss := plain.Alloc.StackBank, swapped.Alloc.StackBank
+	if pg[0] != sg[1] || pg[1] != sg[0] {
 		t.Errorf("global words did not mirror: plain X=%d Y=%d, swapped X=%d Y=%d",
-			plain.Alloc.GlobalX, plain.Alloc.GlobalY, swapped.Alloc.GlobalX, swapped.Alloc.GlobalY)
+			pg[0], pg[1], sg[0], sg[1])
 	}
-	if plain.Alloc.StackX != swapped.Alloc.StackY || plain.Alloc.StackY != swapped.Alloc.StackX {
+	if ps[0] != ss[1] || ps[1] != ss[0] {
 		t.Errorf("stack words did not mirror: plain X=%d Y=%d, swapped X=%d Y=%d",
-			plain.Alloc.StackX, plain.Alloc.StackY, swapped.Alloc.StackX, swapped.Alloc.StackY)
+			ps[0], ps[1], ss[0], ss[1])
 	}
-	if plain.Alloc.GlobalX+plain.Alloc.GlobalY == 0 {
+	if pg[0]+pg[1] == 0 {
 		t.Error("degenerate benchmark: no global words at all")
 	}
 }

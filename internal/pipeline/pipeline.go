@@ -51,7 +51,7 @@ type Options struct {
 	SwapBanks bool
 	// Spec selects the machine's bank geometry (bank count × ports per
 	// bank); the zero value is the classic dual-bank, single-ported
-	// machine and reproduces the historical pipeline exactly.
+	// machine.
 	Spec machine.BankSpec
 	// BankPerm relabels the banks by a general permutation (the k-ary
 	// form of SwapBanks, which it supersedes when non-nil): data
