@@ -193,20 +193,21 @@ func BenchmarkHarnessParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorFast is BenchmarkSimulator on the predecoded
-// fast-path engine: same program, same cycle counts, but the
-// steady-state loop performs no map lookups and no heap allocation.
-func BenchmarkSimulatorFast(b *testing.B) {
+// BenchmarkSimulatorCompiled is BenchmarkSimulator on the compiled
+// threaded-code engine: same program, same cycle counts, but the
+// program is lowered once and the steady-state Reset+Run loop performs
+// no heap allocation.
+func BenchmarkSimulatorCompiled(b *testing.B) {
 	p, _ := bench.ByName("fft_1024")
 	comp, err := dualbank.Compile(p.Source, p.Name, dualbank.Options{Mode: dualbank.CB})
 	if err != nil {
 		b.Fatal(err)
 	}
-	pd, err := sim.Predecode(comp.Sched)
+	cp, err := sim.Compile(comp.Sched)
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := pd.NewMachine()
+	m := cp.NewMachine()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var total int64

@@ -55,9 +55,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker pool width for the experiment harness")
 	timing := fs.Bool("timing", false, "report per-section wall clock, per-run compile/simulate split, and cache traffic on stderr")
 	partitioner := fs.String("partitioner", "greedy", "graph partitioner for -bench runs: greedy, kl, anneal, fm, or exact")
-	engineName := fs.String("engine", "compiled", "simulation engine: compiled, fast, or machine")
+	engineName := fs.String("engine", "compiled", "simulation engine: compiled or machine")
 	simbench := fs.Bool("simbench", false, "measure per-engine simulator throughput (not part of -all)")
-	simcheck := fs.String("simcheck", "", "re-measure simulator throughput and fail if the compiled/fast speedup regressed >10% vs this baseline JSON")
+	simcheck := fs.String("simcheck", "", "re-measure simulator throughput and fail if the compiled/machine speedup regressed >10% vs this baseline JSON")
 	jsonPath := fs.String("json", "", "write harness results and timings to this JSON file")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file")
@@ -243,15 +243,20 @@ func runOne(name, partitioner string, engine bench.Engine, stdout, stderr io.Wri
 	return 0
 }
 
+// simBenchMinTime is the per-engine timed-loop budget of -simbench and
+// -simcheck.
+var simBenchMinTime = 100 * time.Millisecond
+
 // runSimBench measures per-engine simulator throughput over the
 // standard suite, optionally writing a BENCH_sim.json-style report and
 // optionally gating on a committed baseline: with a non-empty
-// checkPath the run exits 1 if any benchmark's compiled-over-fast
-// speedup fell more than 10% below the baseline's. The speedup ratio —
+// checkPath the run exits 1 if any benchmark's compiled-over-machine
+// speedup fell more than 10% below the baseline's (and below the 10x
+// kernel floor), or if the comparison is vacuous. The speedup ratio —
 // not raw ns/run — is what's compared, so the check transfers across
 // host speeds.
 func runSimBench(checkPath, jsonPath string, stdout, stderr io.Writer) int {
-	rows, err := bench.SimBench(bench.SimBenchSuite, 100*time.Millisecond)
+	rows, err := bench.SimBench(bench.SimBenchSuite, simBenchMinTime)
 	if err != nil {
 		return fail(stderr, err)
 	}

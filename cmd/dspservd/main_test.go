@@ -170,4 +170,8 @@ func TestRunErrors(t *testing.T) {
 	if code := run([]string{"-addr", "256.0.0.1:99999"}, &stdout, &stderr); code != 1 {
 		t.Errorf("unlistenable address: exit %d, want 1", code)
 	}
+	// The retired predecoded engine is an unknown engine, not an alias.
+	if code := run([]string{"-engine", "fast"}, &stdout, &stderr); code != 2 {
+		t.Errorf("retired fast engine: exit %d, want 2", code)
+	}
 }

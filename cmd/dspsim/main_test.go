@@ -52,7 +52,7 @@ func TestRunEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want string
-	for _, engine := range []string{"machine", "fast", "compiled"} {
+	for _, engine := range []string{"machine", "compiled"} {
 		var stdout, stderr bytes.Buffer
 		code := run([]string{"-engine", engine, "-print", "z:4", src}, strings.NewReader(""), &stdout, &stderr)
 		if code != 0 {
@@ -119,7 +119,15 @@ func TestRunErrors(t *testing.T) {
 	if code := run([]string{"-engine", "bogus"}, strings.NewReader(""), &stdout, &stderr); code != 2 {
 		t.Errorf("unknown engine: exit %d, want 2", code)
 	}
-	if code := run([]string{"-trace", "-engine", "fast", "-"}, strings.NewReader(smokeSource), &stdout, &stderr); code != 2 {
+	if code := run([]string{"-trace", "-engine", "compiled", "-"}, strings.NewReader(smokeSource), &stdout, &stderr); code != 2 {
 		t.Errorf("trace with non-machine engine: exit %d, want 2", code)
+	}
+	// The retired predecoded engine is an unknown engine, not an alias.
+	stderr.Reset()
+	if code := run([]string{"-engine", "fast", "-"}, strings.NewReader(smokeSource), &stdout, &stderr); code != 2 {
+		t.Errorf("retired fast engine: exit %d, want 2", code)
+	}
+	if !strings.Contains(stderr.String(), `unknown engine "fast"`) {
+		t.Errorf("retired fast engine: stderr %q lacks the unknown-engine error", stderr.String())
 	}
 }

@@ -27,7 +27,7 @@ import (
 )
 
 // simMachine is the engine-generic surface a measurement needs: the
-// cycle count and output words. All three engines satisfy it.
+// cycle count and output words. Both engines satisfy it.
 type simMachine interface {
 	Word(sym *ir.Symbol, idx int) (uint32, error)
 	CycleCount() int64
@@ -182,7 +182,7 @@ type RunOptions struct {
 	// but memory-split figures are not, so it is part of the memo key.
 	BankPerm []int
 	// Engine selects the simulation engine. The zero value is the
-	// compiled engine. All engines produce identical measurements (the
+	// compiled engine. Both engines produce identical measurements (the
 	// differential suite pins them), but the harness still keys its
 	// cache on the engine so a result's recorded timings are always the
 	// requested engine's.
@@ -236,7 +236,7 @@ func RunCtx(ctx context.Context, p Program, mode alloc.Mode, ro RunOptions) (Res
 	}
 	compileSeconds := time.Since(compileStart).Seconds()
 	simStart := time.Now()
-	// The engines are pinned to identical observable results; the
+	// The two engines are pinned to identical observable results; the
 	// switch only selects dispatch machinery. The compiled engine
 	// recycles the compiler's batch arena, so its returned machine must
 	// be fully read (cycles, output check) before this compiler runs
@@ -246,8 +246,6 @@ func RunCtx(ctx context.Context, p Program, mode alloc.Mode, ro RunOptions) (Res
 	switch ro.Engine {
 	case EngineMachine:
 		m, err2 = c.RunCtx(ctx)
-	case EngineFast:
-		m, err2 = c.RunFastCtx(ctx)
 	default:
 		m, err2 = c.RunCompiledCtx(ctx, cc.SimBatch())
 	}

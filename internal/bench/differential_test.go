@@ -9,159 +9,149 @@ import (
 	"dualbank/internal/sim"
 )
 
-// TestFastSimMatchesReference pins the predecoded fast-path engine to
-// the interpretive reference Machine: every Table 1/2 benchmark under
-// every allocation mode must agree on the cycle count, the bandwidth
-// counters (MemAccesses, DualMemCycles), the run-time conflict count
+// differentialModes is every allocation mode the full-suite engine
+// differentials cover.
+var differentialModes = []alloc.Mode{
+	alloc.SingleBank, alloc.CB, alloc.CBProfiled,
+	alloc.CBDup, alloc.FullDup, alloc.Ideal, alloc.LowOrder,
+}
+
+// requireSameOutcome fails t unless the compiled machine cm reproduces
+// the reference run ref: the cycle count, the bandwidth counters
+// (MemAccesses, DualMemCycles), the run-time conflict count
 // (BankConflicts, non-zero only under the low-order organisation), the
-// executed-operation count, and the complete final X/Y bank images.
+// executed-operation count, and the memory images. The compiled
+// engine's arenas cover only the program's used address range, so the
+// image check compares that prefix word-for-word and then requires the
+// reference to have left everything beyond it zero — if the reference
+// could ever write past the compiled high-water mark, this fails rather
+// than silently comparing a truncated image.
+func requireSameOutcome(t *testing.T, what string, ref *sim.Machine, cm *sim.CompiledMachine, memWords int) {
+	t.Helper()
+	if cm.Cycles != ref.Cycles {
+		t.Errorf("%s: cycles: compiled %d, reference %d", what, cm.Cycles, ref.Cycles)
+	}
+	if cm.OpsExecuted != ref.OpsExecuted {
+		t.Errorf("%s: ops executed: compiled %d, reference %d", what, cm.OpsExecuted, ref.OpsExecuted)
+	}
+	if cm.MemAccesses != ref.MemAccesses {
+		t.Errorf("%s: mem accesses: compiled %d, reference %d", what, cm.MemAccesses, ref.MemAccesses)
+	}
+	if cm.DualMemCycles != ref.DualMemCycles {
+		t.Errorf("%s: dual-mem cycles: compiled %d, reference %d", what, cm.DualMemCycles, ref.DualMemCycles)
+	}
+	if cm.BankConflicts != ref.BankConflicts {
+		t.Errorf("%s: bank conflicts: compiled %d, reference %d", what, cm.BankConflicts, ref.BankConflicts)
+	}
+	for i := 0; i < memWords; i++ {
+		if cm.X[i] != ref.X[i] {
+			t.Fatalf("%s: X[%#x]: compiled %#x, reference %#x", what, i, cm.X[i], ref.X[i])
+		}
+		if cm.Y[i] != ref.Y[i] {
+			t.Fatalf("%s: Y[%#x]: compiled %#x, reference %#x", what, i, cm.Y[i], ref.Y[i])
+		}
+	}
+	for i := memWords; i < len(ref.X); i++ {
+		if ref.X[i] != 0 || ref.Y[i] != 0 {
+			t.Fatalf("%s: reference wrote word %#x beyond the compiled arena (%d words)", what, i, memWords)
+		}
+	}
+}
+
+// TestFastSimMatchesReference pins the production (fast) simulator on
+// its fresh-machine path — pipeline.Compiled.RunCompiled with a new
+// CompiledProgram machine per run, as dspsim and the metamorphic suite
+// use it — to the interpretive reference Machine: every Table 1/2
+// benchmark under every allocation mode must reproduce the reference's
+// counters and memory images. The same machine is then Reset and run
+// again, and must reproduce the reference a second time, so Reset
+// provably restores every piece of run state.
 func TestFastSimMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential suite in short mode")
-	}
-	modes := []alloc.Mode{
-		alloc.SingleBank, alloc.CB, alloc.CBProfiled,
-		alloc.CBDup, alloc.FullDup, alloc.Ideal, alloc.LowOrder,
 	}
 	for _, p := range append(Kernels(), Applications()...) {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
-			for _, mode := range modes {
+			for _, mode := range differentialModes {
 				c, err := pipeline.Compile(p.Source, p.Name, pipeline.Options{Mode: mode})
 				if err != nil {
 					t.Fatalf("%v: compile: %v", mode, err)
 				}
-				ref := sim.NewMachine(c.Sched)
-				if err := ref.Run(); err != nil {
+				ref, err := c.Run()
+				if err != nil {
 					t.Fatalf("%v: reference: %v", mode, err)
 				}
-				pd, err := sim.Predecode(c.Sched)
+				cm, err := c.RunCompiled()
 				if err != nil {
-					t.Fatalf("%v: predecode: %v", mode, err)
+					t.Fatalf("%v: compiled: %v", mode, err)
 				}
-				fast := pd.NewMachine()
-				if err := fast.Run(); err != nil {
-					t.Fatalf("%v: fast: %v", mode, err)
+				n := len(cm.X)
+				requireSameOutcome(t, mode.String(), ref, cm, n)
+				cm.Reset()
+				if cm.Cycles != 0 || cm.OpsExecuted != 0 || cm.MemAccesses != 0 ||
+					cm.DualMemCycles != 0 || cm.BankConflicts != 0 {
+					t.Fatalf("%v: counters not reset: %+v", mode, cm.Counters())
 				}
-				if fast.Cycles != ref.Cycles {
-					t.Errorf("%v: cycles: fast %d, reference %d", mode, fast.Cycles, ref.Cycles)
+				if err := cm.Run(); err != nil {
+					t.Fatalf("%v: compiled rerun: %v", mode, err)
 				}
-				if fast.OpsExecuted != ref.OpsExecuted {
-					t.Errorf("%v: ops executed: fast %d, reference %d", mode, fast.OpsExecuted, ref.OpsExecuted)
-				}
-				if fast.MemAccesses != ref.MemAccesses {
-					t.Errorf("%v: mem accesses: fast %d, reference %d", mode, fast.MemAccesses, ref.MemAccesses)
-				}
-				if fast.DualMemCycles != ref.DualMemCycles {
-					t.Errorf("%v: dual-mem cycles: fast %d, reference %d", mode, fast.DualMemCycles, ref.DualMemCycles)
-				}
-				if fast.BankConflicts != ref.BankConflicts {
-					t.Errorf("%v: bank conflicts: fast %d, reference %d", mode, fast.BankConflicts, ref.BankConflicts)
-				}
-				for i := range ref.X {
-					if fast.X[i] != ref.X[i] {
-						t.Fatalf("%v: X[%#x]: fast %#x, reference %#x", mode, i, fast.X[i], ref.X[i])
-					}
-					if fast.Y[i] != ref.Y[i] {
-						t.Fatalf("%v: Y[%#x]: fast %#x, reference %#x", mode, i, fast.Y[i], ref.Y[i])
-					}
-				}
+				requireSameOutcome(t, mode.String()+" after Reset", ref, cm, n)
 			}
 		})
 	}
 }
 
 // TestCompiledSimMatchesReference pins the compiled threaded-code
-// engine to the interpretive reference Machine with the same rigor as
-// the fast-path pinning: every benchmark under every allocation mode
-// must agree on cycle count, bandwidth counters, conflict count,
-// executed-operation count, and the complete final memory images. The
-// compiled engine's arenas cover only the program's used address
-// range, so the image check compares that prefix word-for-word and
-// then requires the reference to have left everything beyond it zero —
-// if the reference could ever write past the compiled high-water mark,
-// this fails rather than silently comparing a truncated image.
+// engine on the harness's path — a shared sim.Batch recycling one
+// machine's arenas across every mode — to the interpretive reference
+// Machine, with the same rigor as TestFastSimMatchesReference.
 func TestCompiledSimMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential suite in short mode")
-	}
-	modes := []alloc.Mode{
-		alloc.SingleBank, alloc.CB, alloc.CBProfiled,
-		alloc.CBDup, alloc.FullDup, alloc.Ideal, alloc.LowOrder,
 	}
 	for _, p := range append(Kernels(), Applications()...) {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
 			var batch sim.Batch
-			for _, mode := range modes {
+			for _, mode := range differentialModes {
 				c, err := pipeline.Compile(p.Source, p.Name, pipeline.Options{Mode: mode})
 				if err != nil {
 					t.Fatalf("%v: compile: %v", mode, err)
 				}
-				ref := sim.NewMachine(c.Sched)
-				if err := ref.Run(); err != nil {
+				ref, err := c.Run()
+				if err != nil {
 					t.Fatalf("%v: reference: %v", mode, err)
 				}
 				cp, err := sim.Compile(c.Sched)
 				if err != nil {
 					t.Fatalf("%v: lower: %v", mode, err)
 				}
-				// Run through a shared Batch, so this differential also
-				// pins the arena-recycling path the production default
-				// actually uses.
 				cm, err := batch.Run(context.Background(), cp)
 				if err != nil {
 					t.Fatalf("%v: compiled: %v", mode, err)
 				}
-				if cm.Cycles != ref.Cycles {
-					t.Errorf("%v: cycles: compiled %d, reference %d", mode, cm.Cycles, ref.Cycles)
-				}
-				if cm.OpsExecuted != ref.OpsExecuted {
-					t.Errorf("%v: ops executed: compiled %d, reference %d", mode, cm.OpsExecuted, ref.OpsExecuted)
-				}
-				if cm.MemAccesses != ref.MemAccesses {
-					t.Errorf("%v: mem accesses: compiled %d, reference %d", mode, cm.MemAccesses, ref.MemAccesses)
-				}
-				if cm.DualMemCycles != ref.DualMemCycles {
-					t.Errorf("%v: dual-mem cycles: compiled %d, reference %d", mode, cm.DualMemCycles, ref.DualMemCycles)
-				}
-				if cm.BankConflicts != ref.BankConflicts {
-					t.Errorf("%v: bank conflicts: compiled %d, reference %d", mode, cm.BankConflicts, ref.BankConflicts)
-				}
-				n := cp.MemWords()
-				for i := 0; i < n; i++ {
-					if cm.X[i] != ref.X[i] {
-						t.Fatalf("%v: X[%#x]: compiled %#x, reference %#x", mode, i, cm.X[i], ref.X[i])
-					}
-					if cm.Y[i] != ref.Y[i] {
-						t.Fatalf("%v: Y[%#x]: compiled %#x, reference %#x", mode, i, cm.Y[i], ref.Y[i])
-					}
-				}
-				for i := n; i < len(ref.X); i++ {
-					if ref.X[i] != 0 || ref.Y[i] != 0 {
-						t.Fatalf("%v: reference wrote word %#x beyond the compiled arena (%d words)", mode, i, n)
-					}
-				}
+				requireSameOutcome(t, mode.String(), ref, cm, cp.MemWords())
 			}
 		})
 	}
 }
 
-// TestFastMachineReset checks that Reset restores a FastMachine to its
-// pristine state: a second run must reproduce the first exactly.
+// TestFastMachineReset checks that Reset restores a CompiledMachine to
+// its pristine state: a second run must reproduce the first exactly.
 func TestFastMachineReset(t *testing.T) {
 	p, _ := ByName("fir_32_1")
 	c, err := pipeline.Compile(p.Source, p.Name, pipeline.Options{Mode: alloc.CBDup})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pd, err := sim.Predecode(c.Sched)
+	cp, err := sim.Compile(c.Sched)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := pd.NewMachine()
+	m := cp.NewMachine()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,25 +2,22 @@ package bench
 
 import "fmt"
 
-// Engine selects which simulation engine executes a measurement. All
-// three produce identical cycle counts, bandwidth counters, and memory
-// images — the differential suite pins them to each other — so the
-// choice trades debuggability against throughput, never correctness.
-// The zero value is EngineCompiled: the production default throughout
-// the harness, the explorer, and the service.
+// Engine selects which simulation engine executes a measurement. Both
+// produce identical cycle counts, bandwidth counters, and memory
+// images — the differential suite pins the production engine to the
+// reference — so the choice trades debuggability against throughput,
+// never correctness. The zero value is EngineCompiled: the production
+// default throughout the harness, the explorer, and the service.
 type Engine int8
 
 const (
 	// EngineCompiled is the threaded-code engine: one lowering per
 	// compile, specialized closures per operation, memory arenas sized
-	// to the program. The fastest path and the default.
+	// to the program. The fast path and the default.
 	EngineCompiled Engine = iota
-	// EngineFast is the predecoded engine: dense operation records with
-	// a per-operation switch dispatch and full-size bank images.
-	EngineFast
 	// EngineMachine is the interpretive reference engine with the
 	// debugging hooks (tracing, per-instruction callbacks, port
-	// assertions) — the oracle the other two are pinned against.
+	// assertions) — the oracle the compiled engine is pinned against.
 	EngineMachine
 )
 
@@ -28,8 +25,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineCompiled:
 		return "compiled"
-	case EngineFast:
-		return "fast"
 	case EngineMachine:
 		return "machine"
 	}
@@ -41,10 +36,8 @@ func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "compiled":
 		return EngineCompiled, nil
-	case "fast":
-		return EngineFast, nil
 	case "machine":
 		return EngineMachine, nil
 	}
-	return 0, fmt.Errorf("unknown engine %q (want compiled, fast, or machine)", s)
+	return 0, fmt.Errorf("unknown engine %q (want compiled or machine)", s)
 }

@@ -30,7 +30,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // benchmark under every allocation mode the golden records the five
 // simulator counters, the sha256 of each final bank image and the
 // cost-model footprint. Both the zero-value BankSpec and the classic
-// geometry spelled out explicitly must reproduce it on all three
+// geometry spelled out explicitly must reproduce it on both
 // simulation engines, so any change to the classic machine — in the
 // partitioner, the allocator's layout, the scheduler's unit choice or
 // a simulator — fails here. Regenerate with
@@ -55,19 +55,6 @@ func captureRef(t *testing.T, c *pipeline.Compiled) equivRun {
 	m := sim.NewMachine(c.Sched)
 	if err := m.Run(); err != nil {
 		t.Fatalf("reference: %v", err)
-	}
-	return equivRun{m.Cycles, m.OpsExecuted, m.MemAccesses, m.DualMemCycles, m.BankConflicts, m.Banks}
-}
-
-func captureFast(t *testing.T, c *pipeline.Compiled) equivRun {
-	t.Helper()
-	pd, err := sim.Predecode(c.Sched)
-	if err != nil {
-		t.Fatalf("predecode: %v", err)
-	}
-	m := pd.NewMachine()
-	if err := m.Run(); err != nil {
-		t.Fatalf("fast: %v", err)
 	}
 	return equivRun{m.Cycles, m.OpsExecuted, m.MemAccesses, m.DualMemCycles, m.BankConflicts, m.Banks}
 }
@@ -141,7 +128,7 @@ func readWallGolden(t *testing.T) map[string]string {
 }
 
 // TestDefaultSpecEquivalenceWall runs the full 23-benchmark × 7-mode ×
-// 3-engine matrix twice — once with the zero-value options and once
+// 2-engine matrix twice — once with the zero-value options and once
 // with the classic geometry spelled out as an explicit BankSpec — and
 // requires every run to match the committed classic-machine golden:
 // the five counters, the bank-image hashes and the cost-model
@@ -199,7 +186,6 @@ func TestDefaultSpecEquivalenceWall(t *testing.T) {
 						run  equivRun
 					}{
 						{"reference", captureRef(t, c)},
-						{"fast", captureFast(t, c)},
 						{"compiled", captureCompiled(t, c, &batch)},
 					} {
 						line := wallLine(p.Name, mode, eng.run, mem)

@@ -54,7 +54,6 @@ func TestCacheKeyMirrorsRunKey(t *testing.T) {
 		{alloc.CBDup, RunOptions{}},
 		{alloc.CBDup, RunOptions{DupOnly: []string{}}},
 		{alloc.CBDup, RunOptions{DupOnly: []string{"x", "y"}}},
-		{alloc.CB, RunOptions{Engine: EngineFast}},
 		{alloc.CB, RunOptions{Engine: EngineMachine}},
 		{alloc.Ideal, RunOptions{}},
 	}
@@ -85,6 +84,17 @@ func TestCacheKeyMirrorsRunKey(t *testing.T) {
 	// Different benchmarks never collide.
 	if CacheKey(Program{Name: "fft_256"}, alloc.CB, RunOptions{}) == CacheKey(p, alloc.CB, RunOptions{}) {
 		t.Error("distinct benchmarks share a key")
+	}
+	// Engine names are part of every L1/L2 address and cluster routing
+	// key: pin the exact strings so adding or retiring an engine cannot
+	// re-address the survivors' cached results.
+	for e, want := range map[Engine]string{
+		EngineCompiled: "run|fir_32_1|mode=CB|part=greedy|fmp=0|prof=false|dup=-|engine=compiled|units=9;bank=65536;stack=4096;ports=banked",
+		EngineMachine:  "run|fir_32_1|mode=CB|part=greedy|fmp=0|prof=false|dup=-|engine=machine|units=9;bank=65536;stack=4096;ports=banked",
+	} {
+		if got := CacheKey(p, alloc.CB, RunOptions{Engine: e}); got != want {
+			t.Errorf("%v key = %q, want %q", e, got, want)
+		}
 	}
 }
 

@@ -16,8 +16,8 @@ func TestSimBenchSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(rows))
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want 2", len(rows))
 	}
 	engines := map[string]SimBenchRow{}
 	for _, r := range rows {
@@ -32,7 +32,7 @@ func TestSimBenchSmoke(t *testing.T) {
 			t.Errorf("engine %s: degenerate measurement %+v", r.Engine, r)
 		}
 	}
-	for _, e := range []string{"machine", "fast", "compiled"} {
+	for _, e := range []string{"machine", "compiled"} {
 		if _, ok := engines[e]; !ok {
 			t.Errorf("missing engine %q", e)
 		}
@@ -44,7 +44,7 @@ func TestSimBenchSmoke(t *testing.T) {
 		t.Error("compiled engine reports no lowering cost")
 	}
 	out := RenderSimBench(rows)
-	if !strings.Contains(out, "iir_1_1") || !strings.Contains(out, "vs fast") {
+	if !strings.Contains(out, "iir_1_1") || !strings.Contains(out, "vs machine") {
 		t.Errorf("render missing content:\n%s", out)
 	}
 }
@@ -62,9 +62,9 @@ func row(bench, engine string, nsPerRun float64) SimBenchRow {
 
 func TestSimSpeedups(t *testing.T) {
 	rows := []SimBenchRow{
-		row("a", "fast", 1000), row("a", "compiled", 10),
-		row("b", "fast", 300), row("b", "compiled", 100),
-		row("c", "compiled", 5), // no fast row: skipped
+		row("a", "machine", 1000), row("a", "compiled", 10),
+		row("b", "machine", 300), row("b", "compiled", 100),
+		row("c", "compiled", 5), // no machine row: skipped
 	}
 	s := SimSpeedups(rows)
 	if len(s) != 2 || s["a"] != 100 || s["b"] != 3 {
@@ -74,8 +74,8 @@ func TestSimSpeedups(t *testing.T) {
 
 func TestSimCheck(t *testing.T) {
 	base := []SimBenchRow{
-		row("kern", "fast", 10000), row("kern", "compiled", 100), // 100x
-		row("app", "fast", 300), row("app", "compiled", 100), // 3x
+		row("kern", "machine", 10000), row("kern", "compiled", 100), // 100x
+		row("app", "machine", 300), row("app", "compiled", 100), // 3x
 	}
 	ok := func(name string, cur []SimBenchRow) {
 		t.Helper()
@@ -94,23 +94,72 @@ func TestSimCheck(t *testing.T) {
 	ok("identical", base)
 	// A kernel dropping from 100x to 40x stays above the 10x floor.
 	ok("noisy kernel", []SimBenchRow{
-		row("kern", "fast", 4000), row("kern", "compiled", 100),
-		row("app", "fast", 300), row("app", "compiled", 100),
+		row("kern", "machine", 4000), row("kern", "compiled", 100),
+		row("app", "machine", 300), row("app", "compiled", 100),
 	})
 	// A kernel crashing to 8x regresses.
 	bad("kernel regression", []SimBenchRow{
-		row("kern", "fast", 800), row("kern", "compiled", 100),
-		row("app", "fast", 300), row("app", "compiled", 100),
+		row("kern", "machine", 800), row("kern", "compiled", 100),
+		row("app", "machine", 300), row("app", "compiled", 100),
 	}, "kern")
 	// A sub-floor baseline is held to the tolerance band alone.
 	bad("app regression", []SimBenchRow{
-		row("kern", "fast", 10000), row("kern", "compiled", 100),
-		row("app", "fast", 250), row("app", "compiled", 100), // 2.5x < 3x*0.9
+		row("kern", "machine", 10000), row("kern", "compiled", 100),
+		row("app", "machine", 250), row("app", "compiled", 100), // 2.5x < 3x*0.9
 	}, "app")
-	// Benchmarks missing from the current rows are skipped.
-	ok("missing bench", []SimBenchRow{
-		row("kern", "fast", 10000), row("kern", "compiled", 100),
-	})
+	// A baseline benchmark missing from the current rows fails.
+	bad("missing bench", []SimBenchRow{
+		row("kern", "machine", 10000), row("kern", "compiled", 100),
+	}, "app: current run has no machine/compiled pair")
+}
+
+// TestSimCheckNeverVacuous pins that the gate cannot pass without
+// comparing anything: a benchmark without an engine pair on either
+// side, or a comparison of zero benchmarks, is a failure — not "no
+// regression".
+func TestSimCheckNeverVacuous(t *testing.T) {
+	base := []SimBenchRow{
+		row("kern", "machine", 10000), row("kern", "compiled", 100),
+	}
+	cases := []struct {
+		name          string
+		current, base []SimBenchRow
+		want          []string
+	}{
+		{"empty current", nil, base, []string{
+			"kern: current run has no machine/compiled pair",
+			"nothing compared",
+		}},
+		{"empty baseline", base, nil, []string{
+			"kern: baseline has no machine/compiled pair",
+			"nothing compared",
+		}},
+		{"both empty", nil, nil, []string{"nothing compared"}},
+		// A legacy baseline whose rows pair the compiled engine with an
+		// engine this gate no longer measures compares nothing.
+		{"no matching pair", base, []SimBenchRow{
+			row("kern", "predecoded", 10000), row("kern", "compiled", 100),
+		}, []string{
+			"kern: baseline has no machine/compiled pair",
+			"nothing compared",
+		}},
+		{"benchmark absent from baseline", []SimBenchRow{
+			row("kern", "machine", 10000), row("kern", "compiled", 100),
+			row("new", "machine", 300), row("new", "compiled", 100),
+		}, base, []string{"new: baseline has no machine/compiled pair"}},
+	}
+	for _, c := range cases {
+		fails := SimCheck(c.current, c.base, 0.10)
+		if len(fails) != len(c.want) {
+			t.Errorf("%s: failures = %q, want %d", c.name, fails, len(c.want))
+			continue
+		}
+		for i, w := range c.want {
+			if !strings.Contains(fails[i], w) {
+				t.Errorf("%s: failure %d = %q, want it to mention %q", c.name, i, fails[i], w)
+			}
+		}
+	}
 }
 
 // TestReportSimBenchRoundTrip pins the BENCH_sim.json contract:

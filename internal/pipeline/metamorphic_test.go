@@ -57,7 +57,7 @@ func permuteDecls(t *testing.T, source string) string {
 }
 
 // measureCycles compiles source under o, validates the schedule, runs
-// the fast simulator, optionally checks program outputs, and returns
+// the compiled engine, optionally checks program outputs, and returns
 // the cycle count.
 func measureCycles(t *testing.T, source, name string, o pipeline.Options, check func(bench.Reader) error) int64 {
 	t.Helper()
@@ -68,7 +68,7 @@ func measureCycles(t *testing.T, source, name string, o pipeline.Options, check 
 	if err := compact.Validate(c.Sched); err != nil {
 		t.Fatalf("%s/%v: schedule: %v", name, o.Mode, err)
 	}
-	m, err := c.RunFast()
+	m, err := c.RunCompiled()
 	if err != nil {
 		t.Fatalf("%s/%v: run: %v", name, o.Mode, err)
 	}

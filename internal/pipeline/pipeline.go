@@ -190,34 +190,9 @@ func (c *Compiled) RunCtx(ctx context.Context) (*sim.Machine, error) {
 	return m, nil
 }
 
-// RunFast executes the compiled program on the predecoded fast-path
-// engine, which produces the same cycle counts, bandwidth counters and
-// memory images as Run but without per-cycle map lookups or heap
-// allocation. Use Run for the reference interpreter and its debugging
-// hooks (tracing, per-instruction callbacks, port assertions).
-func (c *Compiled) RunFast() (*sim.FastMachine, error) {
-	return c.RunFastCtx(context.Background())
-}
-
-// RunFastCtx is RunFast honoring ctx: the fast engine polls for
-// cancellation at basic-block boundaries, so a caller's deadline
-// bounds even a simulation that would otherwise run to MaxCycles.
-func (c *Compiled) RunFastCtx(ctx context.Context) (*sim.FastMachine, error) {
-	pd, err := sim.Predecode(c.Sched)
-	if err != nil {
-		return nil, fmt.Errorf("%s (%v): %w", c.Name, c.Alloc.Mode, err)
-	}
-	m := pd.NewMachine()
-	if err := m.RunContext(ctx); err != nil {
-		return nil, fmt.Errorf("%s (%v): %w", c.Name, c.Alloc.Mode, err)
-	}
-	return m, nil
-}
-
 // RunCompiled executes the program on the compiled threaded-code
 // engine, which produces the same cycle counts, bandwidth counters and
-// memory images as Run and RunFast (differential tests pin all three)
-// but dispatches one specialized closure per operation instead of
+// memory images as Run (differential tests pin the two) but dispatches one specialized closure per operation instead of
 // interpreting, and allocates memory arenas covering only the
 // program's used address range.
 func (c *Compiled) RunCompiled() (*sim.CompiledMachine, error) {

@@ -57,8 +57,8 @@ type Request struct {
 	// only.
 	Banks int `json:"banks,omitempty"`
 	Ports int `json:"ports,omitempty"`
-	// Engine pins the simulation engine for this request: compiled,
-	// fast, or machine. Empty uses the server's configured engine. The
+	// Engine pins the simulation engine for this request: compiled or
+	// machine. Empty uses the server's configured engine. The
 	// cluster forwarder sets it explicitly so every node computes the
 	// identical memo key for one request.
 	Engine string `json:"engine,omitempty"`

@@ -55,7 +55,7 @@ type Config struct {
 	Fault *faultinject.Injector
 	// Engine selects the simulation engine for every measurement. The
 	// zero value is the compiled threaded-code engine — the production
-	// default; the fast and reference engines remain selectable for
+	// default; the reference engine remains selectable for
 	// cross-checking a deployment. A request carrying an explicit
 	// "engine" field overrides it per measurement.
 	Engine bench.Engine

@@ -9,6 +9,7 @@ import (
 	"dualbank/internal/compact"
 	"dualbank/internal/ir"
 	"dualbank/internal/machine"
+	"dualbank/internal/opt"
 )
 
 // This file implements the compiled execution engine: a scheduled
@@ -17,7 +18,7 @@ import (
 // indices, branch/call targets resolved to block indices, and
 // statically-resolvable banks (and, under the low-order model,
 // statically-resolvable address parities) baked in at lowering time.
-// Where the predecoded engine still dispatches a switch per operation
+// Where the reference interpreter dispatches a switch per operation
 // per cycle, the compiled engine dispatches one indirect call per
 // operation and aggregates every statically-known counter delta
 // (cycles, occupied slots, memory accesses, dual-access cycles, even
@@ -32,13 +33,12 @@ import (
 // or symbol ordered before its writer); instructions where no such
 // order exists — a genuine anti-dependence cycle, e.g. a packed
 // register swap — fall back to a staged form that buffers results in a
-// pending-write array exactly like the reference, reusing the
-// predecoded engine's operand evaluators so the semantics stay pinned.
+// pending-write array exactly like the reference, evaluating through
+// the switch-dispatched pOp evaluators below.
 //
 // sim.Machine remains the reference; the differential suite pins this
 // engine to identical cycle counts, bandwidth counters, and memory
-// images across the whole benchmark suite, exactly as it pins
-// FastMachine.
+// images across the whole benchmark suite.
 
 // cOp is one compiled operation: a specialized closure over the
 // executing machine. Closures capture only lowering-time constants, so
@@ -373,10 +373,7 @@ func lowerInstr(in *compact.Instr, sb *compact.Block, funcs map[string]*cFunc, c
 	ci.ops = make([]cOp, 0, len(data))
 	ci.canFault = true
 	for k, d := range data {
-		po, err := predecodeOp(d.op, d.unit, cp.ports, &cp.bankOf, cp.nbanks)
-		if err != nil {
-			return cInstr{}, err
-		}
+		po := predecodeOp(d.op, d.unit, cp.ports, &cp.bankOf, cp.nbanks)
 		ci.ops = append(ci.ops, lowerStaged(d.op, po, k, lowOrder))
 		if d.op.IsMem() {
 			if lowOrder {
@@ -807,10 +804,146 @@ func cb2i(b bool) uint32 {
 	return 0
 }
 
+// pOp is one staged data operation, flattened for the switch-dispatched
+// evaluators. Register fields are physical-file indices; for memory
+// operations base/size describe the accessed symbol and bank carries
+// the statically resolved bank index (meaningless under the low-order
+// port model, where the address low bits decide at run time).
+type pOp struct {
+	kind ir.OpKind
+	bank uint8
+	dst  uint8
+	a0   uint8
+	a1   uint8
+	idx  uint8 // index register, 0 = direct access
+	imm  uint32
+	base int32
+	size int32
+}
+
+// bankIndexOf maps a single-bank tag to its bank index; unassigned
+// data lives in bank 0 (the baseline single-bank layout).
+func bankIndexOf(b machine.Bank, nbanks int) int {
+	if i := b.Index(); i >= 0 && i < nbanks {
+		return i
+	}
+	return 0
+}
+
+// predecodeOp flattens one data operation, resolving the memory bank
+// where the port model makes it static: under the banked model the
+// executing unit determines the bank, under the dual-ported model the
+// operation's own tag does.
+func predecodeOp(op *ir.Op, u machine.Unit, ports machine.PortModel, bankOf *[machine.MaxUnits]uint8, nbanks int) pOp {
+	po := pOp{
+		kind: op.Kind,
+		dst:  uint8(op.Dst),
+		a0:   uint8(op.Args[0]),
+		a1:   uint8(op.Args[1]),
+	}
+	switch op.Kind {
+	case ir.OpConst:
+		po.imm = uint32(int32(op.Imm))
+	case ir.OpFConst:
+		po.imm = math.Float32bits(float32(op.FImm))
+	case ir.OpLoad, ir.OpStore:
+		if op.Idx != ir.NoReg {
+			po.idx = uint8(op.Idx)
+		}
+		po.base = int32(op.Sym.Addr)
+		po.size = int32(op.Sym.Size)
+		switch ports {
+		case machine.PortsBanked:
+			po.bank = bankOf[u]
+		case machine.PortsDualPorted:
+			po.bank = uint8(bankIndexOf(op.Bank, nbanks))
+		}
+	}
+	return po
+}
+
+// resolvePOp computes the in-bank word address and bank index of a
+// staged memory access against the pre-commit register file. The bank
+// is static except under the low-order model, which is defined on the
+// classic 2-bank machine (wider specs reject it at allocation), so its
+// address split is the parity.
+func resolvePOp(r *[65]uint32, op *pOp, lowOrder bool) (int32, uint8, error) {
+	idx := int32(0)
+	if op.idx != 0 {
+		idx = int32(r[op.idx])
+	}
+	if idx < 0 || idx >= op.size {
+		return 0, 0, fmt.Errorf("index %d out of range (size %d)", idx, op.size)
+	}
+	addr := op.base + idx
+	if lowOrder {
+		return addr >> 1, uint8(addr & 1), nil
+	}
+	return addr, op.bank, nil
+}
+
+// evalPOp computes a staged scalar operation's result from the
+// pre-commit register file; semantics match Machine.evalALU exactly.
+func evalPOp(r *[65]uint32, op *pOp) (uint32, error) {
+	iv := func(i uint8) int32 { return int32(r[i]) }
+	fv := func(i uint8) float32 { return math.Float32frombits(r[i]) }
+	fb := math.Float32bits
+
+	switch op.kind {
+	case ir.OpConst, ir.OpFConst:
+		return op.imm, nil
+	case ir.OpMov:
+		return r[op.a0], nil
+	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor,
+		ir.OpShl, ir.OpShr, ir.OpSetEQ, ir.OpSetNE, ir.OpSetLT,
+		ir.OpSetLE, ir.OpSetGT, ir.OpSetGE:
+		return uint32(opt.EvalIntBin(op.kind, iv(op.a0), iv(op.a1))), nil
+	case ir.OpDiv, ir.OpRem:
+		if iv(op.a1) == 0 {
+			return 0, errDivZero
+		}
+		return uint32(opt.EvalIntBin(op.kind, iv(op.a0), iv(op.a1))), nil
+	case ir.OpNeg:
+		return uint32(-iv(op.a0)), nil
+	case ir.OpNot:
+		return uint32(^iv(op.a0)), nil
+	case ir.OpMac:
+		return uint32(iv(op.dst) + iv(op.a0)*iv(op.a1)), nil
+	case ir.OpFAdd:
+		return fb(fv(op.a0) + fv(op.a1)), nil
+	case ir.OpFSub:
+		return fb(fv(op.a0) - fv(op.a1)), nil
+	case ir.OpFMul:
+		return fb(fv(op.a0) * fv(op.a1)), nil
+	case ir.OpFDiv:
+		return fb(fv(op.a0) / fv(op.a1)), nil
+	case ir.OpFNeg:
+		return fb(-fv(op.a0)), nil
+	case ir.OpFMac:
+		return fb(fv(op.dst) + fv(op.a0)*fv(op.a1)), nil
+	case ir.OpFSetEQ:
+		return uint32(b2i(fv(op.a0) == fv(op.a1))), nil
+	case ir.OpFSetNE:
+		return uint32(b2i(fv(op.a0) != fv(op.a1))), nil
+	case ir.OpFSetLT:
+		return uint32(b2i(fv(op.a0) < fv(op.a1))), nil
+	case ir.OpFSetLE:
+		return uint32(b2i(fv(op.a0) <= fv(op.a1))), nil
+	case ir.OpFSetGT:
+		return uint32(b2i(fv(op.a0) > fv(op.a1))), nil
+	case ir.OpFSetGE:
+		return uint32(b2i(fv(op.a0) >= fv(op.a1))), nil
+	case ir.OpIntToFloat:
+		return fb(float32(iv(op.a0))), nil
+	case ir.OpFloatToInt:
+		return uint32(FloatToInt(fv(op.a0))), nil
+	}
+	return 0, fmt.Errorf("sim: cannot execute %s", op.kind)
+}
+
 // lowerStaged generates one staged (two-phase) closure: it evaluates
-// against the pre-commit register file via the predecoded engine's
-// shared evaluators — keeping this rare path pinned to the reference
-// by construction — and buffers the result at pending slot k.
+// against the pre-commit register file through the pOp evaluators and
+// buffers the result at pending slot k.
 func lowerStaged(op *ir.Op, po pOp, k int, lowOrder bool) cOp {
 	switch op.Kind {
 	case ir.OpLoad:
@@ -877,8 +1010,8 @@ func (cp *CompiledProgram) NewMachine() *CompiledMachine {
 }
 
 // Reset restores the machine to its initial state so it can be run
-// again without reallocating. Unlike the predecoded engine's Reset,
-// this touches only the program's used address range.
+// again without reallocating. It touches only the program's used
+// address range.
 func (m *CompiledMachine) Reset() {
 	for b := range m.Banks {
 		copy(m.Banks[b], m.cp.initBanks[b])
@@ -901,7 +1034,7 @@ func (m *CompiledMachine) Run() error {
 
 // RunContext executes main() to completion, honoring ctx: the run loop
 // polls for cancellation at basic-block boundaries with the same
-// stride-256 decimation as the other engines.
+// stride-256 decimation as the reference engine.
 func (m *CompiledMachine) RunContext(ctx context.Context) error {
 	m.cancel.arm(ctx)
 	defer m.cancel.disarm()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dualbank/internal/alloc"
+	"dualbank/internal/ir"
 	"dualbank/internal/machine"
 	"dualbank/internal/sim"
 )
@@ -266,8 +267,24 @@ func TestCompiledCycleLimit(t *testing.T) {
 	}
 }
 
+// BenchmarkMachine measures the interpretive reference engine on the
+// schedule BenchmarkCompiledMachine runs; comparing ns/op quantifies
+// the compiled engine's speedup.
+func BenchmarkMachine(b *testing.B) {
+	sched := compileSched(b, firSource, alloc.CBDup)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := sim.NewMachine(sched)
+		if err := m.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCompiledMachine measures the compiled engine's steady-state
-// loop, comparable against BenchmarkMachine and BenchmarkFastMachine.
+// loop, comparable against BenchmarkMachine; it must report 0
+// allocs/op.
 func BenchmarkCompiledMachine(b *testing.B) {
 	cp, err := sim.Compile(compileSched(b, firSource, alloc.CBDup))
 	if err != nil {
@@ -283,6 +300,149 @@ func BenchmarkCompiledMachine(b *testing.B) {
 		m.Reset()
 		if err := m.Run(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// aluSource exercises every scalar operation kind the compiled engine
+// lowers to a direct closure, on operands loaded from memory so
+// nothing constant-folds: register moves (the loop-carried p/q
+// rotation), integer arithmetic, logic, shifts, the six comparisons as
+// values, multiply-accumulate, float arithmetic, the six float
+// comparisons, and both conversions.
+const aluSource = `
+int ia[8] = {7, -3, 12, 5, -20, 9, 1, 31};
+int ib[8] = {2, 5, -4, 3, 6, -7, 1, 3};
+float fa[8] = {1.5, -2.25, 3.0, 0.5, -8.0, 2.5, 100.0, -0.125};
+float fb[8] = {0.5, 4.0, -1.5, 2.0, 3.0, -0.5, 100.0, 0.25};
+int iout[8];
+float fout[8];
+int isum;
+float fsum;
+
+void main() {
+	int i;
+	int acc = 0;
+	int p = 1;
+	int q = 2;
+	float facc = 0.0;
+	for (i = 0; i < 8; i++) {
+		int t = p;
+		p = q;
+		q = t + ia[i];
+		int a = ia[i];
+		int b = ib[i];
+		float x = fa[i];
+		float y = fb[i];
+		int r = (a + b) - a * b;
+		r = r + a / b + a % b;
+		r = r ^ ((a & b) | ~a);
+		r = r + -b;
+		r = r + (a << (b & 7)) + (a >> (b & 3));
+		r = r + (a == b) + (a != b) + (a < b) + (a <= b) + (a > b) + (a >= b);
+		acc = acc + a * b;
+		float z = (x + y) - x * y + x / y + -x;
+		r = r + (x == y) + (x != y) + (x < y) + (x <= y) + (x > y) + (x >= y);
+		facc = facc + x * y;
+		z = z + (float)a;
+		r = r + (int)z;
+		iout[i] = r;
+		fout[i] = z;
+	}
+	isum = acc + p * q;
+	fsum = facc;
+}
+`
+
+// TestCompiledALUMatchesMachine is the ALU differential: aluSource
+// must schedule every scalar operation kind (the test proves it before
+// trusting the comparison), and the compiled engine must reproduce the
+// reference's counters, register file and memory image under every
+// port model, with the outputs also matching the IR interpreter.
+func TestCompiledALUMatchesMachine(t *testing.T) {
+	kinds := []ir.OpKind{
+		ir.OpConst, ir.OpFConst, ir.OpMov,
+		ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem, ir.OpNeg,
+		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpNot, ir.OpShl, ir.OpShr, ir.OpMac,
+		ir.OpSetEQ, ir.OpSetNE, ir.OpSetLT, ir.OpSetLE, ir.OpSetGT, ir.OpSetGE,
+		ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv, ir.OpFNeg, ir.OpFMac,
+		ir.OpFSetEQ, ir.OpFSetNE, ir.OpFSetLT, ir.OpFSetLE, ir.OpFSetGT, ir.OpFSetGE,
+		ir.OpIntToFloat, ir.OpFloatToInt,
+	}
+	for _, mode := range []alloc.Mode{alloc.SingleBank, alloc.CB, alloc.CBDup, alloc.Ideal, alloc.LowOrder} {
+		p, sched := compileTo(t, aluSource, mode)
+		seen := map[ir.OpKind]bool{}
+		for _, f := range sched.Funcs {
+			for _, b := range f.Blocks {
+				for _, in := range b.Instrs {
+					for _, op := range in.Ops() {
+						seen[op.Kind] = true
+					}
+				}
+			}
+		}
+		for _, k := range kinds {
+			if !seen[k] {
+				t.Errorf("%v: schedule has no %s operation", mode, k)
+			}
+		}
+
+		ref := sim.NewMachine(sched)
+		if err := ref.Run(); err != nil {
+			t.Fatalf("%v: reference: %v", mode, err)
+		}
+		cp, err := sim.Compile(sched)
+		if err != nil {
+			t.Fatalf("%v: lower: %v", mode, err)
+		}
+		cm := cp.NewMachine()
+		if err := cm.Run(); err != nil {
+			t.Fatalf("%v: compiled: %v", mode, err)
+		}
+		requireSameState(t, mode.String(), ref, cm, cp.MemWords())
+
+		in := sim.NewInterp(p)
+		if err := in.Run(); err != nil {
+			t.Fatalf("%v: interp: %v", mode, err)
+		}
+		for _, name := range []string{"iout", "fout", "isum", "fsum"} {
+			g := globalOf(p, name)
+			for i := 0; i < g.Size; i++ {
+				want := in.Word(g, i)
+				got, err := cm.Word(g, i)
+				if err != nil {
+					t.Fatalf("%v: %s[%d]: %v", mode, name, i, err)
+				}
+				if got != want {
+					t.Errorf("%v: %s[%d] = %#x, interpreter %#x", mode, name, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// requireSameState fails t unless the compiled machine cm ended in the
+// reference's state: the five counters, the register file, and the
+// memory images (the compiled arena prefix word for word, zero beyond
+// it in the reference).
+func requireSameState(t *testing.T, what string, ref *sim.Machine, cm *sim.CompiledMachine, memWords int) {
+	t.Helper()
+	if cm.Counters() != ref.Counters() {
+		t.Errorf("%s: counters diverge: compiled %+v, reference %+v", what, cm.Counters(), ref.Counters())
+	}
+	if cm.Regs != ref.Regs {
+		t.Errorf("%s: register files diverge:\ncompiled  %v\nreference %v", what, cm.Regs, ref.Regs)
+	}
+	for b := range ref.Banks {
+		for i := 0; i < memWords; i++ {
+			if cm.Banks[b][i] != ref.Banks[b][i] {
+				t.Fatalf("%s: bank %d word %#x: compiled %#x, reference %#x", what, b, i, cm.Banks[b][i], ref.Banks[b][i])
+			}
+		}
+		for i := memWords; i < len(ref.Banks[b]); i++ {
+			if ref.Banks[b][i] != 0 {
+				t.Fatalf("%s: reference wrote bank %d word %#x beyond the compiled arena (%d words)", what, b, i, memWords)
+			}
 		}
 	}
 }

@@ -1,17 +1,14 @@
 package sim
 
 // CycleCount returns the retired-cycle counter; with Word it forms the
-// minimal surface shared by all three engines, letting engine-generic
+// minimal surface shared by both VLIW engines, letting engine-generic
 // callers (the benchmark harness) treat them uniformly.
 func (m *Machine) CycleCount() int64 { return m.Cycles }
 
 // CycleCount returns the retired-cycle counter.
-func (m *FastMachine) CycleCount() int64 { return m.Cycles }
-
-// CycleCount returns the retired-cycle counter.
 func (m *CompiledMachine) CycleCount() int64 { return m.Cycles }
 
-// Counters is the full bandwidth-counter set every engine maintains,
+// Counters is the full bandwidth-counter set both engines maintain,
 // for callers (the dspsim driver) that report more than the cycle
 // count.
 type Counters struct {
@@ -24,11 +21,6 @@ type Counters struct {
 
 // Counters snapshots the bandwidth counters.
 func (m *Machine) Counters() Counters {
-	return Counters{m.Cycles, m.OpsExecuted, m.MemAccesses, m.DualMemCycles, m.BankConflicts}
-}
-
-// Counters snapshots the bandwidth counters.
-func (m *FastMachine) Counters() Counters {
 	return Counters{m.Cycles, m.OpsExecuted, m.MemAccesses, m.DualMemCycles, m.BankConflicts}
 }
 

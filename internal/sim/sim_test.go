@@ -17,33 +17,73 @@ import (
 	"dualbank/internal/sim"
 )
 
-// compileTo compiles source fully (through scheduling) under a mode.
-func compileTo(t *testing.T, src string, mode alloc.Mode) (*ir.Program, *compact.Program) {
-	t.Helper()
+// firSource is a small FIR filter with function calls, loops, integer
+// and float arithmetic — enough to exercise every engine dispatch case
+// while staying quick to simulate.
+const firSource = `
+float x[128] = {1.0, 2.0, 3.0, 4.0, 5.0};
+float h[32] = {0.5, 0.25, 0.125};
+float y[96];
+int checksum;
+
+float tap(float acc, float a, float b) {
+	return acc + a * b;
+}
+
+void main() {
+	int n;
+	int k;
+	int c = 0;
+	for (n = 0; n < 96; n++) {
+		float acc = 0.0;
+		for (k = 0; k < 32; k++) {
+			acc = tap(acc, x[n + k], h[k]);
+		}
+		y[n] = acc;
+		if (acc > 0.0) {
+			c = c + 1;
+		}
+	}
+	checksum = c;
+}
+`
+
+// compileSched compiles source through scheduling under a mode, for
+// tests and benchmarks alike.
+func compileSched(tb testing.TB, src string, mode alloc.Mode) *compact.Program {
+	tb.Helper()
 	file, err := minic.Parse(src)
 	if err != nil {
-		t.Fatalf("parse: %v", err)
+		tb.Fatalf("parse: %v", err)
 	}
 	if err := minic.Analyze(file); err != nil {
-		t.Fatalf("analyze: %v", err)
+		tb.Fatalf("analyze: %v", err)
 	}
 	p, err := lower.Program(file, "t")
 	if err != nil {
-		t.Fatalf("lower: %v", err)
+		tb.Fatalf("lower: %v", err)
 	}
 	opt.Run(p, opt.Options{})
 	if _, err := regalloc.Run(p); err != nil {
-		t.Fatalf("regalloc: %v", err)
+		tb.Fatalf("regalloc: %v", err)
 	}
 	res, err := alloc.Run(p, alloc.Options{Mode: mode})
 	if err != nil {
-		t.Fatalf("alloc: %v", err)
+		tb.Fatalf("alloc: %v", err)
 	}
 	sched, err := compact.Schedule(p, compact.Config{Ports: res.Ports})
 	if err != nil {
-		t.Fatalf("schedule: %v", err)
+		tb.Fatalf("schedule: %v", err)
 	}
-	return p, sched
+	return sched
+}
+
+// compileTo is compileSched that also returns the IR program the
+// schedule was built from.
+func compileTo(t *testing.T, src string, mode alloc.Mode) (*ir.Program, *compact.Program) {
+	t.Helper()
+	sched := compileSched(t, src, mode)
+	return sched.Src, sched
 }
 
 func globalOf(p *ir.Program, name string) *ir.Symbol {
@@ -231,47 +271,72 @@ func TestInterpProfileCounts(t *testing.T) {
 	}
 }
 
+// requireSameFault runs src on the IR interpreter, the reference
+// Machine and the compiled engine under every port model, and requires
+// all three to reject it for the cause want names: error verdicts may
+// not differ between engines (the message prefixes locating the fault
+// are engine-specific).
+func requireSameFault(t *testing.T, src, want string) {
+	t.Helper()
+	for _, mode := range []alloc.Mode{alloc.SingleBank, alloc.CB, alloc.Ideal, alloc.LowOrder} {
+		p, sched := compileTo(t, src, mode)
+		in := sim.NewInterp(p)
+		if err := in.Run(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%v: interp: err %v, want one mentioning %q", mode, err, want)
+		}
+		refErr := sim.NewMachine(sched).Run()
+		if refErr == nil || !strings.Contains(refErr.Error(), want) {
+			t.Fatalf("%v: machine: err %v, want one mentioning %q", mode, refErr, want)
+		}
+		cp, err := sim.Compile(sched)
+		if err != nil {
+			t.Fatalf("%v: lower: %v", mode, err)
+		}
+		cmErr := cp.NewMachine().Run()
+		if cmErr == nil || !strings.Contains(cmErr.Error(), want) {
+			t.Fatalf("%v: compiled: err %v, want one mentioning %q", mode, cmErr, want)
+		}
+	}
+}
+
 // TestInterpOutOfBounds: an out-of-range access is caught, not silently
-// wrapped.
+// wrapped, by every engine.
 func TestInterpOutOfBounds(t *testing.T) {
-	src := `
+	requireSameFault(t, `
 int a[4];
 void main() {
 	int i = 9;
 	a[i] = 1;
 }
-`
-	p, sched := compileTo(t, src, alloc.SingleBank)
-	in := sim.NewInterp(p)
-	if err := in.Run(); err == nil {
-		t.Fatal("interp accepted out-of-bounds store")
-	}
-	m := sim.NewMachine(sched)
-	if err := m.Run(); err == nil {
-		t.Fatal("machine accepted out-of-bounds store")
-	}
+`, "index 9 out of range")
+	// A load, and a negative index, trap the same way.
+	requireSameFault(t, `
+int a[4];
+int r;
+int k = -2;
+void main() {
+	r = a[k];
+}
+`, "index -2 out of range")
 }
 
-// TestIntegerDivisionByZeroTrap: both engines trap runtime division by
-// zero.
+// TestIntegerDivisionByZeroTrap: every engine traps runtime division
+// and remainder by zero.
 func TestIntegerDivisionByZeroTrap(t *testing.T) {
-	src := `
+	requireSameFault(t, `
 int r;
 int zero;
 void main() {
 	r = 10 / zero;
 }
-`
-	p, sched := compileTo(t, src, alloc.SingleBank)
-	in := sim.NewInterp(p)
-	if err := in.Run(); err == nil {
-		t.Fatal("interp accepted division by zero")
-	}
-	m := sim.NewMachine(sched)
-	if err := m.Run(); err == nil {
-		t.Fatal("machine accepted division by zero")
-	}
-	_ = p
+`, "integer division by zero")
+	requireSameFault(t, `
+int r;
+int zero;
+void main() {
+	r = 10 % zero;
+}
+`, "integer division by zero")
 }
 
 // TestMachineRejectsVirtualProgram: the VLIW machine requires physical
