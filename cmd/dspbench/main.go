@@ -3,11 +3,11 @@
 // Figure 8 (application gains under CB, profiled weights, partial
 // duplication, and Ideal), and Table 3 (performance/cost trade-offs).
 //
-// The experiments run through a shared worker pool and a memoized
-// compile/run cache, so the single-bank baseline and arms shared
-// between figures are measured exactly once per invocation. -parallel
-// bounds the pool (1 reproduces the serial harness; the printed
-// figures and tables are byte-identical at any width), -timing reports
+// The experiments fan out across workers over a memoized compile/run
+// cache, so the single-bank baseline and arms shared between figures
+// are measured exactly once per invocation. -parallel bounds the
+// workers (the printed figures and tables are byte-identical at any
+// width), -timing reports
 // per-section wall clock and cache traffic on stderr, and -json writes
 // the full results with timings to a machine-readable file.
 //
@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	one := fs.String("bench", "", "run a single benchmark across all modes")
 	selective := fs.String("selective", "", "run PCR-driven selective duplication on one benchmark")
 	list := fs.Bool("list", false, "list benchmark names")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker pool width for the experiment harness")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent compile+simulate jobs for the experiment harness")
 	timing := fs.Bool("timing", false, "report per-section wall clock, per-run compile/simulate split, and cache traffic on stderr")
 	partitioner := fs.String("partitioner", "greedy", "graph partitioner for -bench runs: greedy, kl, anneal, fm, or exact")
 	engineName := fs.String("engine", "compiled", "simulation engine: compiled or machine")
@@ -108,8 +108,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	report := &bench.Report{GOMAXPROCS: runtime.GOMAXPROCS(0), Parallel: h.Parallel}
 	start := time.Now()
 
-	// section runs one experiment, prints its text (stdout stays
-	// byte-identical to the serial harness), and records rows and
+	// section runs one experiment, prints its text (stdout is
+	// byte-identical at any -parallel width), and records rows and
 	// wall-clock in the JSON report.
 	section := func(name string, run func() (bench.Section, string, error)) error {
 		s0 := time.Now()

@@ -98,3 +98,51 @@ func TestRunCertifySmoke(t *testing.T) {
 		t.Errorf("report shape wrong: n=%d seed=%d rows=%d", rep.N, rep.Seed, len(rep.Rows))
 	}
 }
+
+// TestCommittedBaselines regenerates the committed corpus baseline,
+// `dspcorpus -n 1000 -seed 1`, in-process and requires a clean run and
+// a byte-identical BENCH_corpus.json. Any drift means the generator,
+// an engine or an allocation pass changed behaviour. The run takes
+// tens of seconds, so it is opt-in via DSP_CORPUS=1. On a mismatch the
+// regenerated report is left at BENCH_corpus.new.json in the module
+// root for inspection; to accept an intended change, move it over the
+// committed file.
+func TestCommittedBaselines(t *testing.T) {
+	if os.Getenv("DSP_CORPUS") != "1" {
+		t.Skip("set DSP_CORPUS=1 to regenerate and compare BENCH_corpus.json")
+	}
+	root := filepath.Join("..", "..")
+	want, err := os.ReadFile(filepath.Join(root, "BENCH_corpus.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_corpus.json")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-n", "1000", "-seed", "1", "-json", path, "-quiet"}, &stdout, &stderr); code != 0 {
+		t.Errorf("dspcorpus -n 1000 -seed 1: exit %d, stderr:\n%s", code, stderr.String())
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	line := 0
+	for line < len(gl) && line < len(wl) && gl[line] == wl[line] {
+		line++
+	}
+	at := func(lines []string) string {
+		if line < len(lines) {
+			return lines[line]
+		}
+		return "<end of file>"
+	}
+	newPath := filepath.Join(root, "BENCH_corpus.new.json")
+	if err := os.WriteFile(newPath, got, 0o644); err != nil {
+		t.Error(err)
+	}
+	t.Errorf("BENCH_corpus.json drifted from the committed baseline; first difference at line %d:\n-%s\n+%s\nregenerated report: %s",
+		line+1, at(wl), at(gl), newPath)
+}

@@ -285,41 +285,3 @@ func RunCtx(ctx context.Context, p Program, mode alloc.Mode, ro RunOptions) (Res
 func Gain(base, res Result) float64 {
 	return (float64(base.Cycles)/float64(res.Cycles) - 1) * 100
 }
-
-// BatchItem is one variant of a batched evaluation: an allocation mode
-// plus its run options.
-type BatchItem struct {
-	Mode alloc.Mode
-	Opts RunOptions
-}
-
-// BatchOutcome is one batched variant's measurement. Err is per-item:
-// an infeasible or faulting variant does not abort its siblings.
-// Cached reports a memo-cache hit when the batch ran through a
-// Harness.
-type BatchOutcome struct {
-	Res    Result
-	Cached bool
-	Err    error
-}
-
-// RunBatchCtx measures one benchmark under many configuration variants
-// on a shared compiler: all variants reuse one set of back-end scratch
-// buffers and one recycled simulation arena, so a family of
-// duplication or partition variants costs one warm-up instead of one
-// per variant. Outcomes are returned in item order. A cancelled
-// context fails the remaining items with its error but never corrupts
-// completed outcomes; per-variant failures are recorded in their slot
-// and evaluation continues.
-func RunBatchCtx(ctx context.Context, p Program, items []BatchItem) []BatchOutcome {
-	cc := new(pipeline.Compiler)
-	out := make([]BatchOutcome, len(items))
-	for i, it := range items {
-		ro := it.Opts
-		if ro.Compiler == nil {
-			ro.Compiler = cc
-		}
-		out[i].Res, out[i].Err = RunCtx(ctx, p, it.Mode, ro)
-	}
-	return out
-}

@@ -9,10 +9,11 @@ import (
 	"dualbank/internal/cost"
 )
 
-// This file is the experiment harness: it regenerates the paper's
-// Figure 7 (kernel performance gains), Figure 8 (application gains
-// under CB, Pr, Dup and Ideal) and Table 3 (performance/cost
-// trade-offs of duplication).
+// This file holds the experiments' rows, arms and renderers for the
+// paper's Figure 7 (kernel performance gains), Figure 8 (application
+// gains under CB, Pr, Dup and Ideal) and Table 3 (performance/cost
+// trade-offs of duplication); the Harness methods in harness.go
+// measure them.
 
 // FigureRow is one benchmark's gains, in percent over the single-bank
 // baseline, per mode.
@@ -24,13 +25,6 @@ type FigureRow struct {
 	Duplicated []string
 }
 
-// RunFigure measures the given benchmarks under the given modes on a
-// fresh serial harness. Long-running callers should construct one
-// Harness and reuse it so baselines and shared arms are measured once.
-func RunFigure(progs []Program, modes []alloc.Mode) ([]FigureRow, error) {
-	return NewHarness(1).RunFigure(progs, modes)
-}
-
 // Figure7Modes and Figure8Modes are the experiment arms shown in each
 // figure; OrganizationModes is the extra memory-organisation study
 // (high-order banked with CB partitioning vs low-order interleaved
@@ -40,20 +34,6 @@ var (
 	Figure8Modes      = []alloc.Mode{alloc.CB, alloc.CBProfiled, alloc.CBDup, alloc.Ideal}
 	OrganizationModes = []alloc.Mode{alloc.LowOrder, alloc.CB, alloc.CBDup, alloc.Ideal}
 )
-
-// Figure7 reproduces the kernel experiment.
-func Figure7() ([]FigureRow, error) { return RunFigure(Kernels(), Figure7Modes) }
-
-// Figure8 reproduces the application experiment.
-func Figure8() ([]FigureRow, error) { return RunFigure(Applications(), Figure8Modes) }
-
-// Organizations runs the memory-organisation study over the whole
-// suite: it quantifies the paper's §1.2 argument for high-order
-// interleaving by pitting CB partitioning against a low-order
-// interleaved memory whose run-time bank conflicts stall the pipeline.
-func Organizations() ([]FigureRow, error) {
-	return RunFigure(append(Kernels(), Applications()...), OrganizationModes)
-}
 
 // RenderFigure formats rows as a text table.
 func RenderFigure(title string, rows []FigureRow, modes []alloc.Mode) string {
@@ -93,10 +73,6 @@ type Table3Row struct {
 
 // Table3Modes are the techniques compared in Table 3.
 var Table3Modes = []alloc.Mode{alloc.FullDup, alloc.CBDup, alloc.CB, alloc.Ideal}
-
-// Table3 reproduces the performance/cost trade-off table over the
-// application benchmarks.
-func Table3() ([]Table3Row, error) { return NewHarness(1).Table3() }
 
 // RenderTable3 formats the table with the paper's PG/CI/PCR columns
 // and arithmetic means.
@@ -139,14 +115,6 @@ type SweepRow struct {
 	Label      string
 	BaseCycles int64
 	CBGain     float64
-}
-
-// SweepFIR measures how the CB partitioning gain develops with filter
-// order: the longer the inner loop dominates, the closer the whole
-// kernel approaches the 2-cycles-per-tap dual-bank steady state. It
-// generalises the paper's fir_256_64 / fir_32_1 pairing into a curve.
-func SweepFIR(taps []int, samples int) ([]SweepRow, error) {
-	return NewHarness(1).SweepFIR(taps, samples)
 }
 
 // RenderSweep formats a sweep.

@@ -18,21 +18,21 @@ import (
 	"dualbank/internal/pipeline"
 )
 
-// This file is the parallel experiment harness: a bounded worker pool
-// that fans (benchmark × mode) jobs across CPUs, layered over a
+// This file is the parallel experiment harness: (benchmark × mode) jobs
+// fan out across CPUs through pipeline.ForEach, layered over a
 // concurrency-safe, single-flight memoized cache of Run results. The
 // SingleBank baseline — which every figure and table measures against —
 // is compiled and simulated exactly once per Harness no matter how many
 // experiments share it, and overlapping arms (e.g. the CB and Ideal
 // columns appearing in both Figure 7 and the memory-organisation study)
 // are likewise deduplicated. Row order and rendered output are
-// byte-identical to the serial harness at any worker count.
+// byte-identical at any worker count.
 
-// Harness runs experiments through a worker pool and a memoized
+// Harness runs experiments through the shared fan-out and a memoized
 // result cache. The zero value is not usable; call NewHarness.
 type Harness struct {
 	// Parallel is the maximum number of concurrent compile+simulate
-	// jobs; 1 reproduces the serial harness exactly.
+	// jobs; any width produces identical rows.
 	Parallel int
 
 	// Engine selects the simulation engine for every measurement the
@@ -108,17 +108,11 @@ type runKey struct {
 	// are engine-independent by the differential pinning, but the
 	// recorded timings are not, so entries never alias across engines.
 	engine Engine
-	// batched marks entries produced by a batched dispatch
-	// (RunBatchCtx), whose timings reflect shared-arena amortization;
-	// they never alias single-run entries.
-	batched bool
 }
 
 // String renders the key's canonical wire form — the identity the
 // cluster tier hashes for consistent routing and the shared L2 result
-// cache stores under. Every in-memory key field except batched appears
-// (batched only distinguishes timing amortization, never the result,
-// so batched and single-run measurements share one L2 entry).
+// cache stores under. Every key field appears.
 func (k runKey) String() string {
 	s := "run|" + k.bench +
 		"|mode=" + k.mode.String() +
@@ -262,8 +256,8 @@ func (h *Harness) Run(p Program, mode alloc.Mode) (Result, error) {
 	return h.run(p, mode, nil)
 }
 
-// run is Run with optional reusable compiler scratch (each pool worker
-// owns one).
+// run is Run with optional reusable compiler scratch (each fan-out
+// worker owns one).
 func (h *Harness) run(p Program, mode alloc.Mode, cc *pipeline.Compiler) (Result, error) {
 	res, _, err := h.RunCtx(context.Background(), p, mode, RunOptions{Compiler: cc, Engine: h.Engine})
 	return res, err
@@ -284,34 +278,7 @@ func (h *Harness) run(p Program, mode alloc.Mode, cc *pipeline.Compiler) (Result
 // are likewise never cached: the entry is removed so the next request
 // retries.
 func (h *Harness) RunCtx(ctx context.Context, p Program, mode alloc.Mode, ro RunOptions) (res Result, cached bool, err error) {
-	return h.runEntry(ctx, newRunKey(p, mode, ro), p, mode, ro)
-}
-
-// RunBatchCtx measures one benchmark under many configuration variants
-// through the single-flight cache, sharing one compiler (back-end
-// scratch plus the compiled engine's recycled simulation arena) across
-// every cache miss in the batch. Entries are keyed as batched, so a
-// batched measurement never aliases a single-run one (their timings
-// reflect different amortization). Outcomes land in item order;
-// per-item failures — including one variant's cancellation — leave the
-// remaining items to run on the same, reset arena.
-func (h *Harness) RunBatchCtx(ctx context.Context, p Program, items []BatchItem) []BatchOutcome {
-	cc := new(pipeline.Compiler)
-	out := make([]BatchOutcome, len(items))
-	for i, it := range items {
-		ro := it.Opts
-		if ro.Compiler == nil {
-			ro.Compiler = cc
-		}
-		key := newRunKey(p, it.Mode, ro)
-		key.batched = true
-		out[i].Res, out[i].Cached, out[i].Err = h.runEntry(ctx, key, p, it.Mode, ro)
-	}
-	return out
-}
-
-// runEntry is the single-flight cache protocol for one key.
-func (h *Harness) runEntry(ctx context.Context, key runKey, p Program, mode alloc.Mode, ro RunOptions) (res Result, cached bool, err error) {
+	key := newRunKey(p, mode, ro)
 	for {
 		h.mu.Lock()
 		if e, ok := h.cache[key]; ok {
@@ -442,45 +409,16 @@ type job struct {
 	mode alloc.Mode
 }
 
-// runJobs executes every job on up to h.Parallel workers and returns
-// the results in job order. On failure it returns the error of the
-// lowest-numbered failing job, matching the serial harness's
-// first-error semantics.
+// runJobs executes every job through the shared fan-out at
+// h.Parallel and returns the results in job order. On failure it
+// returns the error of the lowest-numbered failing job, so the error
+// is the same at any width.
 func (h *Harness) runJobs(jobs []job) ([]Result, error) {
 	results := make([]Result, len(jobs))
 	errs := make([]error, len(jobs))
-	if h.Parallel <= 1 {
-		cc := new(pipeline.Compiler)
-		for i, j := range jobs {
-			var err error
-			results[i], err = h.run(j.prog, j.mode, cc)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return results, nil
-	}
-	workers := h.Parallel
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			cc := new(pipeline.Compiler)
-			for i := range next {
-				results[i], errs[i] = h.run(jobs[i].prog, jobs[i].mode, cc)
-			}
-		}()
-	}
-	for i := range jobs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	pipeline.ForEach(context.Background(), len(jobs), h.Parallel, func(cc *pipeline.Compiler, i int) {
+		results[i], errs[i] = h.run(jobs[i].prog, jobs[i].mode, cc)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -489,8 +427,10 @@ func (h *Harness) runJobs(jobs []job) ([]Result, error) {
 	return results, nil
 }
 
-// RunFigure measures the given benchmarks under the given modes,
-// producing rows identical to the serial package-level RunFigure.
+// RunFigure measures the given benchmarks under the given modes: one
+// row per benchmark with its gain over the single-bank baseline in
+// every mode. Reuse one Harness across figures so baselines and
+// shared arms are measured once.
 func (h *Harness) RunFigure(progs []Program, modes []alloc.Mode) ([]FigureRow, error) {
 	jobs := make([]job, 0, len(progs)*(len(modes)+1))
 	for _, p := range progs {
@@ -528,20 +468,24 @@ func (h *Harness) RunFigure(progs []Program, modes []alloc.Mode) ([]FigureRow, e
 	return rows, nil
 }
 
-// Figure7 reproduces the kernel experiment through the pool and cache.
+// Figure7 reproduces the kernel experiment.
 func (h *Harness) Figure7() ([]FigureRow, error) { return h.RunFigure(Kernels(), Figure7Modes) }
 
 // Figure8 reproduces the application experiment.
 func (h *Harness) Figure8() ([]FigureRow, error) { return h.RunFigure(Applications(), Figure8Modes) }
 
 // Organizations runs the memory-organisation study over the whole
-// suite; its CB/CBDup/Ideal arms and every baseline are cache hits
-// when Figure 7 and Figure 8 ran first on the same harness.
+// suite: it quantifies the paper's §1.2 argument for high-order
+// interleaving by pitting CB partitioning against a low-order
+// interleaved memory whose run-time bank conflicts stall the pipeline.
+// Its CB/CBDup/Ideal arms and every baseline are cache hits when
+// Figure 7 and Figure 8 ran first on the same harness.
 func (h *Harness) Organizations() ([]FigureRow, error) {
 	return h.RunFigure(append(Kernels(), Applications()...), OrganizationModes)
 }
 
-// Table3 reproduces the performance/cost trade-off table.
+// Table3 reproduces the performance/cost trade-off table over the
+// application benchmarks.
 func (h *Harness) Table3() ([]Table3Row, error) {
 	apps := Applications()
 	jobs := make([]job, 0, len(apps)*(len(Table3Modes)+1))
@@ -571,7 +515,10 @@ func (h *Harness) Table3() ([]Table3Row, error) {
 	return rows, nil
 }
 
-// SweepFIR measures the CB gain across filter orders through the pool.
+// SweepFIR measures how the CB partitioning gain develops with filter
+// order: the longer the inner loop dominates, the closer the whole
+// kernel approaches the 2-cycles-per-tap dual-bank steady state. It
+// generalises the paper's fir_256_64 / fir_32_1 pairing into a curve.
 func (h *Harness) SweepFIR(taps []int, samples int) ([]SweepRow, error) {
 	progs := make([]Program, len(taps))
 	for i, n := range taps {

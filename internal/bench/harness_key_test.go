@@ -102,48 +102,3 @@ func TestHarnessDistinctConfigsMiss(t *testing.T) {
 		t.Errorf("repeat config re-executed: misses %d -> %d", st.Misses, st2.Misses)
 	}
 }
-
-// TestHarnessBatchedKeysDistinct extends the aliasing contract to
-// batched dispatches: a batched measurement must not alias a
-// single-run entry for the same configuration (their timings reflect
-// different amortization), while repeated batched requests for the
-// same configuration must hit.
-func TestHarnessBatchedKeysDistinct(t *testing.T) {
-	p, ok := ByName("fir_32_1")
-	if !ok {
-		t.Fatal("fir_32_1 missing")
-	}
-	h := NewHarness(1)
-	single, _, err := h.RunCtx(context.Background(), p, alloc.CBDup, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	items := []BatchItem{
-		{Mode: alloc.CBDup},
-		{Mode: alloc.CB},
-	}
-	first := h.RunBatchCtx(context.Background(), p, items)
-	for i, o := range first {
-		if o.Err != nil {
-			t.Fatalf("batch item %d: %v", i, o.Err)
-		}
-	}
-	st := h.Stats()
-	// One single-run miss, then two batched misses: the CBDup batch
-	// entry must not have aliased the single-run one.
-	if st.Misses != 3 {
-		t.Errorf("misses = %d, want 3 (single CBDup + batched CBDup + batched CB)", st.Misses)
-	}
-	if first[0].Res.Cycles != single.Cycles {
-		t.Errorf("batched CBDup cycles %d != single-run %d", first[0].Res.Cycles, single.Cycles)
-	}
-	second := h.RunBatchCtx(context.Background(), p, items)
-	for i, o := range second {
-		if o.Err != nil {
-			t.Fatalf("repeat batch item %d: %v", i, o.Err)
-		}
-	}
-	if st2 := h.Stats(); st2.Misses != st.Misses {
-		t.Errorf("repeat batch re-executed: misses %d -> %d", st.Misses, st2.Misses)
-	}
-}

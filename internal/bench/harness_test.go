@@ -106,12 +106,12 @@ func TestHarnessSharesBaselineAcrossExperiments(t *testing.T) {
 	}
 }
 
-// TestRunFigureSerialEquivalence pins the package-level serial
-// entry points to the harness path.
+// TestRunFigureSerialEquivalence pins a one-worker harness to a
+// three-worker one: the fan-out width never changes the rows.
 func TestRunFigureSerialEquivalence(t *testing.T) {
 	progs := []Program{FIR(8, 4), IIR(1, 1)}
 	modes := []alloc.Mode{alloc.CB, alloc.Ideal}
-	direct, err := RunFigure(progs, modes)
+	direct, err := NewHarness(1).RunFigure(progs, modes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,13 +61,23 @@ func (p *KPartition) String() string {
 	return sb.String()
 }
 
-// exactKPartition is the registered certified-exact k-way backend (see
-// RegisterExactPartitioner for the 2-way equivalent).
+// exactKPartition is the registered certified-exact backend, for every
+// k including the bipartition. It lives in internal/exact (which
+// imports this package), so dispatch goes through a function value
+// rather than a direct call.
 var exactKPartition func(*Graph, int) *KPartition
 
-// RegisterExactKPartitioner installs the k-way MethodExact backend.
-// Called from internal/exact's init; last registration wins.
+// RegisterExactKPartitioner installs the MethodExact backend. Called
+// from internal/exact's init; last registration wins.
 func RegisterExactKPartitioner(f func(*Graph, int) *KPartition) { exactKPartition = f }
+
+// exactK runs the registered exact backend at k banks.
+func (g *Graph) exactK(k int) *KPartition {
+	if exactKPartition == nil {
+		panic("core: exact partitioner not linked (import dualbank/internal/exact)")
+	}
+	return exactKPartition(g, k)
+}
 
 // PartitionK partitions the graph's nodes into k banks with the chosen
 // method. k == 2 delegates to the corresponding bipartitioner; k > 2
@@ -93,10 +103,7 @@ func (g *Graph) PartitionK(k int, m Method, fmPasses int) *KPartition {
 		}
 		return g.partitionFMK(k, fmPasses)
 	case MethodExact:
-		if exactKPartition == nil {
-			panic("core: exact k-way partitioner not linked (import dualbank/internal/exact)")
-		}
-		return exactKPartition(g, k)
+		return g.exactK(k)
 	default:
 		return g.partitionGreedyK(k)
 	}

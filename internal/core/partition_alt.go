@@ -43,7 +43,7 @@ const (
 	// proves optimality (or a bound) within a deterministic node
 	// budget, so it is never costlier than any heuristic arm. The
 	// implementation lives outside this package and registers itself
-	// via RegisterExactPartitioner; alloc links it, so every pipeline
+	// via RegisterExactKPartitioner; alloc links it, so every pipeline
 	// caller has it available behind the -partitioner flag.
 	MethodExact
 )
@@ -79,15 +79,6 @@ func ParseMethod(s string) (Method, error) {
 	return 0, fmt.Errorf("core: unknown partition method %q (want greedy, kl, anneal, fm, or exact)", s)
 }
 
-// exactPartition is the registered certified-exact backend. It lives
-// in internal/exact (which imports this package), so dispatch goes
-// through a function value rather than a direct call.
-var exactPartition func(*Graph) *Partition
-
-// RegisterExactPartitioner installs the MethodExact backend. Called
-// from internal/exact's init; last registration wins.
-func RegisterExactPartitioner(f func(*Graph) *Partition) { exactPartition = f }
-
 // PartitionWith partitions the graph with the chosen method.
 func (g *Graph) PartitionWith(m Method) *Partition {
 	return g.PartitionWithPasses(m, -1)
@@ -109,10 +100,7 @@ func (g *Graph) PartitionWithPasses(m Method, fmPasses int) *Partition {
 		}
 		return g.PartitionFMPasses(fmPasses)
 	case MethodExact:
-		if exactPartition == nil {
-			panic("core: exact partitioner not linked (import dualbank/internal/exact)")
-		}
-		return exactPartition(g)
+		return g.exactK(2).Bipartition()
 	default:
 		return g.Partition()
 	}

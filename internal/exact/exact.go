@@ -161,12 +161,6 @@ type Result struct {
 	Cert Certificate
 }
 
-func init() {
-	core.RegisterExactPartitioner(func(g *core.Graph) *core.Partition {
-		return Solve(g, Options{}).Part
-	})
-}
-
 // Solve runs the certified bipartitioner on g.
 func Solve(g *core.Graph, opt Options) *Result {
 	opt = opt.withDefaults()

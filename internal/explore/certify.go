@@ -95,51 +95,25 @@ func Certify(ctx context.Context, progs []bench.Program, opts CertifyOptions) (*
 	if opts.NodeBudget <= 0 {
 		opts.NodeBudget = exact.DefaultNodeBudget
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(progs) {
-		workers = len(progs)
-	}
-
 	out := make([]BenchCert, len(progs))
 	errs := make([]error, len(progs))
-	next := make(chan int)
-	var wg sync.WaitGroup
 	var mu sync.Mutex
 	done := 0
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i], errs[i] = certifyBench(progs[i], opts.NodeBudget)
-				mu.Lock()
-				done++
-				if opts.Progress != nil && errs[i] == nil {
-					opts.Progress(CertifyEvent{
-						Bench:   out[i].Bench,
-						Verdict: out[i].Cert.Verdict.String(),
-						BBNodes: out[i].Cert.BBNodes,
-						Done:    done,
-						Total:   len(progs),
-					})
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-feed:
-	for i := range progs {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break feed
+	pipeline.ForEach(ctx, len(progs), opts.Workers, func(cc *pipeline.Compiler, i int) {
+		out[i], errs[i] = certifyBench(ctx, cc, progs[i], opts.NodeBudget)
+		mu.Lock()
+		defer mu.Unlock()
+		done++
+		if opts.Progress != nil && errs[i] == nil {
+			opts.Progress(CertifyEvent{
+				Bench:   out[i].Bench,
+				Verdict: out[i].Cert.Verdict.String(),
+				BBNodes: out[i].Cert.BBNodes,
+				Done:    done,
+				Total:   len(progs),
+			})
 		}
-	}
-	close(next)
-	wg.Wait()
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -168,11 +142,12 @@ feed:
 	return rep, nil
 }
 
-// certifyBench certifies one benchmark: compile the CB pipeline,
-// measure each heuristic arm on the interference graph, then run the
-// exact solver and express every arm against the certified bound.
-func certifyBench(p bench.Program, budget int64) (BenchCert, error) {
-	c, err := pipeline.Compile(p.Source, p.Name, pipeline.Options{Mode: alloc.CB})
+// certifyBench certifies one benchmark on the worker's compiler cc:
+// compile the CB pipeline, measure each heuristic arm on the
+// interference graph, then run the exact solver and express every arm
+// against the certified bound.
+func certifyBench(ctx context.Context, cc *pipeline.Compiler, p bench.Program, budget int64) (BenchCert, error) {
+	c, err := cc.CompileCtx(ctx, p.Source, p.Name, pipeline.Options{Mode: alloc.CB})
 	if err != nil {
 		return BenchCert{}, fmt.Errorf("certify: %s: %w", p.Name, err)
 	}

@@ -32,20 +32,12 @@ import (
 	"dualbank/internal/pipeline"
 )
 
-// EvalFunc executes one measurement. The default runs through a
-// bench.Harness; the HTTP service substitutes its worker pool so
-// exploration shares the serving path's backpressure and metrics.
-// cached reports a memo-cache hit.
+// EvalFunc executes one measurement. The default is
+// bench.Harness.RunCtx; the HTTP service substitutes its worker pool
+// so exploration shares the serving path's backpressure and metrics.
+// ro.Compiler is the calling worker's own pipeline.Compiler, free to
+// use for this call only. cached reports a memo-cache hit.
 type EvalFunc func(ctx context.Context, p bench.Program, mode alloc.Mode, ro bench.RunOptions) (res bench.Result, cached bool, err error)
-
-// BatchEvalFunc executes a family of measurements of one benchmark in
-// a single dispatch, returning outcomes in item order. The default
-// runs through bench.Harness.RunBatchCtx, which shares one compiler
-// and one recycled simulation arena across the family — so evaluating
-// a whole duplication-subset round costs one warm-up instead of one
-// per configuration. Per-item errors (infeasible configurations) must
-// come back in their slot, not abort the batch.
-type BatchEvalFunc func(ctx context.Context, p bench.Program, items []bench.BatchItem) []bench.BatchOutcome
 
 // Event is one progress notification: an evaluation finished (or was
 // replayed from a checkpoint).
@@ -89,14 +81,10 @@ type Options struct {
 	// Harness supplies the memo cache for the default evaluator; a
 	// private one is created when nil.
 	Harness *bench.Harness
-	// Evaluate overrides the evaluator with a per-measurement function;
-	// setting it disables batched evaluation (the HTTP service routes
-	// every measurement through its worker pool individually, keeping
-	// exploration under the serving path's backpressure).
+	// Evaluate overrides the evaluator (the HTTP service routes every
+	// measurement through its worker pool, keeping exploration under
+	// the serving path's backpressure).
 	Evaluate EvalFunc
-	// EvaluateBatch overrides the batched evaluator. Ignored when
-	// Evaluate is set.
-	EvaluateBatch BatchEvalFunc
 	// Progress, when non-nil, receives one Event per finished
 	// evaluation, serialized (never concurrently).
 	Progress func(Event)
@@ -192,14 +180,10 @@ type Report struct {
 	CacheHits int `json:"cache_hits"`
 }
 
-// engine carries one exploration's shared state. Exactly one of eval
-// and evalB is non-nil: a per-measurement override forces the
-// one-at-a-time path, otherwise whole configuration families go
-// through the batched evaluator.
+// engine carries one exploration's shared state.
 type engine struct {
-	opts  Options
-	eval  EvalFunc
-	evalB BatchEvalFunc
+	opts Options
+	eval EvalFunc
 
 	mu   sync.Mutex // serializes Progress and per-bench counters
 	done int
@@ -213,17 +197,13 @@ type engine struct {
 // and everything already evaluated stays checkpointed.
 func Explore(ctx context.Context, progs []bench.Program, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
-	e := &engine{opts: opts, eval: opts.Evaluate, evalB: opts.EvaluateBatch}
-	if e.eval != nil {
-		e.evalB = nil
-	} else if e.evalB == nil {
+	e := &engine{opts: opts, eval: opts.Evaluate}
+	if e.eval == nil {
 		h := opts.Harness
 		if h == nil {
 			h = bench.NewHarness(1)
 		}
-		e.evalB = func(ctx context.Context, p bench.Program, items []bench.BatchItem) []bench.BatchOutcome {
-			return h.RunBatchCtx(ctx, p, items)
-		}
+		e.eval = h.RunCtx
 	}
 
 	rep := &Report{Budget: opts.Budget, ExactK: opts.ExactK}
@@ -508,86 +488,16 @@ func (e *engine) reportBench(p bench.Program, marked, arrays []string, evals []E
 	return br, nil
 }
 
-// evalBatch evaluates configs and returns the results in candidate
-// order. Infeasible configurations come back as Evals with Err set;
-// cancellation and other context failures abort the batch. The default
-// batched evaluator dispatches whole configuration families per worker
-// (one shared compiler and simulation arena each); a per-measurement
-// override falls back to one-at-a-time dispatch.
+// evalBatch evaluates configs through the shared fan-out at
+// opts.Workers and returns the results in candidate order. Infeasible
+// configurations come back as Evals with Err set; cancellation and
+// other context failures abort the batch.
 func (e *engine) evalBatch(ctx context.Context, p bench.Program, configs []Config) ([]Eval, error) {
-	if e.evalB != nil {
-		return e.evalBatched(ctx, p, configs)
-	}
 	out := make([]Eval, len(configs))
 	errs := make([]error, len(configs))
-	workers := e.opts.Workers
-	if workers > len(configs) {
-		workers = len(configs)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i], errs[i] = e.evalOne(ctx, p, configs[i])
-			}
-		}()
-	}
-	for i := range configs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return roundResult(ctx, out, errs)
-}
-
-// evalBatched is the batched flow: checkpoint replays resolve first in
-// candidate order, then the remaining configurations split into
-// contiguous per-worker chunks, each dispatched as one batch. Results
-// deposit at their candidate index, so the output order — and with it
-// every downstream frontier and counter — is identical to the
-// one-at-a-time path's.
-func (e *engine) evalBatched(ctx context.Context, p bench.Program, configs []Config) ([]Eval, error) {
-	out := make([]Eval, len(configs))
-	errs := make([]error, len(configs))
-	var pending []int
-	for i := range configs {
-		configs[i] = configs[i].Canon()
-		if ev, ok := e.fromStore(p, configs[i]); ok {
-			out[i] = ev
-		} else {
-			pending = append(pending, i)
-		}
-	}
-	if len(pending) > 0 {
-		workers := e.opts.Workers
-		if workers > len(pending) {
-			workers = len(pending)
-		}
-		chunk := (len(pending) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for lo := 0; lo < len(pending); lo += chunk {
-			hi := lo + chunk
-			if hi > len(pending) {
-				hi = len(pending)
-			}
-			wg.Add(1)
-			go func(idxs []int) {
-				defer wg.Done()
-				items := make([]bench.BatchItem, len(idxs))
-				for k, i := range idxs {
-					items[k] = bench.BatchItem{Mode: configs[i].Mode(), Opts: configs[i].RunOptions()}
-				}
-				for k, o := range e.evalB(ctx, p, items) {
-					i := idxs[k]
-					out[i], errs[i] = e.record(ctx, p, configs[i], o.Res, o.Cached, o.Err)
-				}
-			}(pending[lo:hi])
-		}
-		wg.Wait()
-	}
+	pipeline.ForEach(ctx, len(configs), e.opts.Workers, func(cc *pipeline.Compiler, i int) {
+		out[i], errs[i] = e.evalOne(ctx, cc, p, configs[i])
+	})
 	return roundResult(ctx, out, errs)
 }
 
@@ -607,14 +517,17 @@ func roundResult(ctx context.Context, out []Eval, errs []error) ([]Eval, error) 
 	return out, nil
 }
 
-// evalOne measures one configuration: checkpoint replay when
-// available, otherwise execution plus write-through checkpointing.
-func (e *engine) evalOne(ctx context.Context, p bench.Program, c Config) (Eval, error) {
+// evalOne measures one configuration on the worker's compiler cc:
+// checkpoint replay when available, otherwise execution plus
+// write-through checkpointing.
+func (e *engine) evalOne(ctx context.Context, cc *pipeline.Compiler, p bench.Program, c Config) (Eval, error) {
 	c = c.Canon()
 	if ev, ok := e.fromStore(p, c); ok {
 		return ev, nil
 	}
-	res, cached, err := e.eval(ctx, p, c.Mode(), c.RunOptions())
+	ro := c.RunOptions()
+	ro.Compiler = cc
+	res, cached, err := e.eval(ctx, p, c.Mode(), ro)
 	return e.record(ctx, p, c, res, cached, err)
 }
 

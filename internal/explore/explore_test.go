@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dualbank/internal/alloc"
 	"dualbank/internal/bench"
 	"dualbank/internal/core"
 	"dualbank/internal/explore/store"
@@ -77,25 +78,16 @@ func TestConfigKeyRoundTrip(t *testing.T) {
 }
 
 // TestExploreDeterministicAcrossWorkers runs the same exploration at
-// 1 and 8 workers and requires byte-identical frontiers.
+// 1 and 8 workers, through the default harness evaluator and through an
+// Options.Evaluate function wrapping a harness (the per-measurement
+// path the HTTP service uses), and requires byte-identical frontiers.
 func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 	progs := []bench.Program{prog(t, "fir_32_1"), prog(t, "mult_4_4")}
-	opts := Options{Budget: 120}
-
-	opts.Workers = 1
-	r1, err := Explore(context.Background(), progs, opts)
+	r1, err := Explore(context.Background(), progs, Options{Budget: 120, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Workers = 8
-	r8, err := Explore(context.Background(), progs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, b8 := frontierBytes(t, r1), frontierBytes(t, r8)
-	if string(b1) != string(b8) {
-		t.Fatalf("frontier differs between 1 and 8 workers\n1: %s\n8: %s", b1, b8)
-	}
+	want := frontierBytes(t, r1)
 	if len(r1.Suite) == 0 {
 		t.Error("multi-benchmark exploration produced no suite frontier")
 	}
@@ -106,6 +98,87 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 		if br.CB.Config != FixedCB.Key() {
 			t.Errorf("%s: CB point is %q", br.Bench, br.CB.Config)
 		}
+	}
+
+	for _, tc := range []struct {
+		name     string
+		workers  int
+		evaluate bool
+	}{
+		{"harness/workers=8", 8, false},
+		{"evaluate/workers=1", 1, true},
+		{"evaluate/workers=8", 8, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{Budget: 120, Workers: tc.workers}
+			var calls atomic.Int64
+			if tc.evaluate {
+				h := bench.NewHarness(1)
+				opts.Evaluate = func(ctx context.Context, p bench.Program, mode alloc.Mode, ro bench.RunOptions) (bench.Result, bool, error) {
+					calls.Add(1)
+					if ro.Compiler == nil {
+						t.Error("Evaluate called without the worker's Compiler")
+					}
+					return h.RunCtx(ctx, p, mode, ro)
+				}
+			}
+			r, err := Explore(context.Background(), progs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := frontierBytes(t, r); string(got) != string(want) {
+				t.Fatalf("frontier differs from the 1-worker harness run\nwant: %s\ngot:  %s", want, got)
+			}
+			if tc.evaluate && calls.Load() != int64(r.Evals) {
+				t.Errorf("Evaluate called %d times for %d evaluations", calls.Load(), r.Evals)
+			}
+		})
+	}
+}
+
+// TestExploreSharesHarnessEntries pins one cache entry per
+// measurement: the explorer measures through the same harness entries
+// as any other caller, so a configuration the harness already measured
+// is reported as a cache hit, and a repeated exploration on the same
+// harness computes nothing.
+func TestExploreSharesHarnessEntries(t *testing.T) {
+	p := prog(t, "fir_32_1")
+	h := bench.NewHarness(1)
+	cb := FixedCB.Canon()
+	if _, _, err := h.RunCtx(context.Background(), p, cb.Mode(), cb.RunOptions()); err != nil {
+		t.Fatal(err)
+	}
+	before := h.Stats()
+	var cbSource string
+	opts := Options{Budget: 8, Harness: h, Progress: func(ev Event) {
+		if ev.Config == cb.Key() {
+			cbSource = ev.Source
+		}
+	}}
+	r, err := Explore(context.Background(), []bench.Program{p}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cbSource != "cache" {
+		t.Errorf("pre-measured CB config reported as %q, want \"cache\"", cbSource)
+	}
+	if r.CacheHits < 1 {
+		t.Errorf("report counts %d cache hits, want at least the CB config", r.CacheHits)
+	}
+	mid := h.Stats()
+	if got, want := mid.Misses-before.Misses, int64(r.Evals-r.CacheHits); got != want {
+		t.Errorf("exploration computed %d measurements, want %d (one per non-hit evaluation)", got, want)
+	}
+
+	again, err := Explore(context.Background(), []bench.Program{p}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.CacheHits != again.Evals {
+		t.Errorf("repeat exploration: %d of %d evaluations were cache hits", again.CacheHits, again.Evals)
+	}
+	if h.Stats().Misses != mid.Misses {
+		t.Errorf("repeat exploration recomputed: misses %d -> %d", mid.Misses, h.Stats().Misses)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"dualbank/internal/bench"
 	"dualbank/internal/core"
 	"dualbank/internal/machine"
+	"dualbank/internal/pipeline"
 )
 
 // This file is the hardware co-design sweep: instead of searching
@@ -115,10 +116,12 @@ func hwArms() []Config {
 }
 
 // ExploreHW measures the fixed compiler arms on every geometry for
-// every benchmark and returns the 3-axis Pareto surface. The sweep is
-// deterministic: geometries and arms are visited in argument/fixed
-// order, and every measurement flows through the harness memo cache
-// when opts.Harness is set.
+// every benchmark and returns the 3-axis Pareto surface. The
+// (benchmark × geometry × arm) points fan out at opts.Harness.Parallel
+// through the harness memo cache (a private serial harness when
+// opts.Harness is nil), and each lands at its sweep index —
+// geometries in argument order, arms in fixed order — so the report
+// is identical at any width.
 func ExploreHW(ctx context.Context, progs []bench.Program, specs []machine.BankSpec, opts Options) (*HWReport, error) {
 	if len(specs) == 0 {
 		specs = []machine.BankSpec{{}, {Banks: 3}, {Banks: 4}, {PortsPerBank: 2}, {Banks: 4, PortsPerBank: 2}}
@@ -142,38 +145,30 @@ func ExploreHW(ctx context.Context, progs []bench.Program, specs []machine.BankS
 		rep.Configs = append(rep.Configs, c.Key())
 	}
 
-	for _, p := range progs {
-		br := HWBenchReport{Bench: p.Name}
-		for _, s := range specs {
-			n := s.Norm()
-			items := make([]bench.BatchItem, len(arms))
-			configs := make([]Config, len(arms))
-			for i, c := range arms {
-				c.Banks, c.Ports = n.Banks, n.PortsPerBank
-				c = c.Canon()
-				configs[i] = c
-				items[i] = bench.BatchItem{Mode: c.Mode(), Opts: c.RunOptions()}
-			}
-			for i, o := range h.RunBatchCtx(ctx, p, items) {
-				if ctx.Err() != nil {
-					return rep, ctx.Err()
-				}
-				pt := HWPoint{
-					Banks: n.Banks, Ports: n.PortsPerBank,
-					HW:     n.HardwareCost(),
-					Config: configs[i].Key(),
-				}
-				if o.Err != nil {
-					pt.Err = o.Err.Error()
-				} else {
-					pt.Cycles = o.Res.Cycles
-					pt.Cost = o.Res.Mem.Total()
-				}
-				br.Points = append(br.Points, pt)
-			}
+	perBench := len(specs) * len(arms)
+	points := make([]HWPoint, len(progs)*perBench)
+	pipeline.ForEach(ctx, len(points), h.Parallel, func(cc *pipeline.Compiler, i int) {
+		p := progs[i/perBench]
+		n := specs[i%perBench/len(arms)].Norm()
+		c := arms[i%len(arms)]
+		c.Banks, c.Ports = n.Banks, n.PortsPerBank
+		c = c.Canon()
+		ro := c.RunOptions()
+		ro.Compiler = cc
+		pt := HWPoint{Banks: n.Banks, Ports: n.PortsPerBank, HW: n.HardwareCost(), Config: c.Key()}
+		if res, _, err := h.RunCtx(ctx, p, c.Mode(), ro); err != nil {
+			pt.Err = err.Error()
+		} else {
+			pt.Cycles, pt.Cost = res.Cycles, res.Mem.Total()
 		}
-		br.Frontier = frontier3(br.Points)
-		rep.Benchmarks = append(rep.Benchmarks, br)
+		points[i] = pt
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	for k, p := range progs {
+		pts := points[k*perBench : (k+1)*perBench : (k+1)*perBench]
+		rep.Benchmarks = append(rep.Benchmarks, HWBenchReport{Bench: p.Name, Points: pts, Frontier: frontier3(pts)})
 	}
 	return rep, nil
 }

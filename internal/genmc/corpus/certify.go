@@ -90,43 +90,20 @@ func Certify(ctx context.Context, o CertifyOptions) (*CertifyReport, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > o.N {
-		workers = o.N
-	}
 	pop := genmc.Population(o.N, o.Seed)
 	rows := make([]CertRow, o.N)
 	errs := make([]error, o.N)
 	var mu sync.Mutex
 	done := 0
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cc := new(pipeline.Compiler)
-			for i := range next {
-				gp := genmc.Generate(pop[i])
-				rows[i], errs[i] = certifyGenerated(ctx, gp, cc, o.NodeBudget)
-				if o.Progress != nil {
-					mu.Lock()
-					done++
-					o.Progress(done, o.N)
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-feed:
-	for i := 0; i < o.N; i++ {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break feed
+	pipeline.ForEach(ctx, o.N, workers, func(cc *pipeline.Compiler, i int) {
+		rows[i], errs[i] = certifyGenerated(ctx, genmc.Generate(pop[i]), cc, o.NodeBudget)
+		if o.Progress != nil {
+			mu.Lock()
+			done++
+			o.Progress(done, o.N)
+			mu.Unlock()
 		}
-	}
-	close(next)
-	wg.Wait()
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("corpus: %w", err)
 	}

@@ -9,7 +9,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"dualbank/internal/alloc"
@@ -323,39 +322,16 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > o.N {
-		workers = o.N
-	}
 	pop := genmc.Population(o.N, o.Seed)
 	rows := make([]Row, o.N)
 	fails := make([][]string, o.N)
 	var done atomic.Int64
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cc := new(pipeline.Compiler)
-			for i := range next {
-				gp := genmc.Generate(pop[i])
-				rows[i], fails[i] = VerifyProgram(ctx, gp, cc, o.Metamorphic)
-				if o.Progress != nil {
-					o.Progress(int(done.Add(1)), o.N)
-				}
-			}
-		}()
-	}
-feed:
-	for i := 0; i < o.N; i++ {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break feed
+	pipeline.ForEach(ctx, o.N, workers, func(cc *pipeline.Compiler, i int) {
+		rows[i], fails[i] = VerifyProgram(ctx, genmc.Generate(pop[i]), cc, o.Metamorphic)
+		if o.Progress != nil {
+			o.Progress(int(done.Add(1)), o.N)
 		}
-	}
-	close(next)
-	wg.Wait()
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("corpus: %w", err)
 	}

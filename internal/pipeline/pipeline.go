@@ -8,6 +8,8 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"dualbank/internal/alloc"
 	"dualbank/internal/compact"
@@ -75,7 +77,7 @@ type Compiled struct {
 // many (program, mode) pairs back to back reaches a steady state where
 // the hot passes allocate only their retained output. The zero value is
 // ready to use. A Compiler is not safe for concurrent use; give each
-// worker goroutine its own.
+// worker goroutine its own, as ForEach does.
 type Compiler struct {
 	scanner core.Scanner
 	scratch compact.Scratch
@@ -85,8 +87,38 @@ type Compiler struct {
 // SimBatch returns the compiler's recycled simulation arena, for
 // callers running the compiled engine across many measurements on this
 // compiler. Like the compiler itself it is single-owner: a machine
-// obtained through it is invalidated by the next batched run.
+// obtained through it is invalidated by the next run on the arena.
 func (cc *Compiler) SimBatch() *sim.Batch { return &cc.batch }
+
+// ForEach calls fn(cc, i) for every i in [0, n) on up to workers
+// goroutines (values below 1 mean 1), each owning one Compiler for its
+// whole life, so no Compiler is ever shared between concurrent calls.
+// Indexes are handed out in ascending order, and none is handed out
+// once ctx is done: calls already running finish, the rest never
+// start. ForEach returns when every started call has returned. It is
+// the one fan-out of the sweeps — the figures, the explorer, the
+// hardware and certification sweeps and the corpus — and fn writes its
+// result at index i, so output order never depends on scheduling.
+func ForEach(ctx context.Context, n, workers int, fn func(cc *Compiler, i int)) {
+	workers = max(1, min(workers, n))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			cc := new(Compiler)
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(cc, i)
+			}
+		}()
+	}
+	wg.Wait()
+}
 
 // Compile builds source (a MiniC translation unit) into scheduled VLIW
 // code under the given options.

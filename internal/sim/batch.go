@@ -5,10 +5,11 @@ import "context"
 // Batch amortizes CompiledMachine allocation across many runs: one
 // Batch owns a machine whose arenas are grown to the largest program
 // seen and re-sliced per run, so evaluating a family of configuration
-// variants — the explorer's duplication subsets, the harness's batched
-// dispatches — performs one lowering per variant and zero steady-state
-// machine allocations. A Batch is not safe for concurrent use; give
-// each worker its own.
+// variants — a fan-out worker's run of the explorer's duplication
+// subsets or the harness's jobs — performs one lowering per variant and
+// zero steady-state machine allocations. A Batch is not safe for
+// concurrent use; give each worker its own (every pipeline.Compiler
+// owns one).
 type Batch struct {
 	m CompiledMachine
 }
